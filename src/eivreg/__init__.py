@@ -7,9 +7,7 @@ an independent numerical certification layer, and Monte Carlo tooling.
 __version__ = "0.1.0"
 
 from .estimators import (
-    FitDiagnostics,
     FitResult,
-    ResidualPair,
     estimate_alpha,
     estimate_b,
     estimate_u1_corrected,
@@ -20,7 +18,6 @@ from .estimators import (
     legacy_means,
     legacy_u1,
     residual_matrix,
-    residual_pair,
     residual_scale,
     sigma0_symmetric_roots,
     whiten,
@@ -67,7 +64,6 @@ __all__ = [
     "EigenStructure",
     "ErrorKind",
     "ExcessiveSkipsError",
-    "FitDiagnostics",
     "FitResult",
     "ModelKind",
     "ModelSpec",
@@ -75,7 +71,6 @@ __all__ = [
     "ObservedData",
     "OracleReport",
     "ParseError",
-    "ResidualPair",
     "SyntheticTruth",
     "UnidentifiableError",
     "ValidationError",
@@ -97,7 +92,6 @@ __all__ = [
     "project_columns_oracle",
     "random_truth",
     "residual_matrix",
-    "residual_pair",
     "residual_scale",
     "scatter_matrix",
     "sigma0_symmetric_roots",

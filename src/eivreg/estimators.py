@@ -33,15 +33,6 @@ from .model_core import (
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    """Spectral diagnostics copied from the eigenstructure behind a fit."""
-
-    eigengap: float
-    g11_condition: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Complete fit: slope, intercept, fitted mean matrices, and objectives.
 
@@ -49,7 +40,10 @@ class FitResult:
     ``alpha_hat`` is exactly zero for the no-intercept model. For a fit under
     a known covariance shape the objectives and the residual scale are
     reported in whitened coordinates; the parameter and mean estimates are in
-    original coordinates.
+    original coordinates. ``eigenstructure`` is the decomposition of the
+    scatter matrix the fit was computed from (of the whitened observations
+    under a known shape); ``diagnostics`` is the same object, read for its
+    ``eigengap``, ``g11_condition`` and ``degenerate`` fields.
     """
 
     kind: ModelKind
@@ -60,29 +54,11 @@ class FitResult:
     olse_objective: float
     glse_objective: float
     residual_scale: float
-    diagnostics: FitDiagnostics
+    eigenstructure: EigenStructure
 
-
-@dataclass(frozen=True)
-class ResidualPair:
-    """The stacked full residual and the normalized response residual.
-
-    ``r_matrix`` is (p+r)-by-n: observations minus offset minus the graph map
-    of the mean vectors. ``q_matrix`` is r-by-n: the response residual
-    normalized by the symmetric square root of (I + B B').
-    """
-
-    r_matrix: np.ndarray
-    q_matrix: np.ndarray
-
-    def __post_init__(self):
-        for name in ("r_matrix", "q_matrix"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} must be a finite 2-D matrix")
-            object.__setattr__(self, name, arr)
-        if self.r_matrix.shape[1] != self.q_matrix.shape[1]:
-            raise ValidationError("r_matrix and q_matrix must share the column count")
+    @property
+    def diagnostics(self) -> EigenStructure:
+        return self.eigenstructure
 
 
 def estimate_b(es: EigenStructure) -> np.ndarray:
@@ -198,14 +174,6 @@ def glse_residual(data: ObservedData, alpha, b) -> np.ndarray:
     return normalizer @ (data.x2 - alpha[:, None] - b @ data.x1)
 
 
-def residual_pair(data: ObservedData, alpha, b, u1) -> ResidualPair:
-    """Both residual matrices at the given parameters."""
-    return ResidualPair(
-        r_matrix=residual_matrix(data, alpha, b, u1),
-        q_matrix=glse_residual(data, alpha, b),
-    )
-
-
 def residual_scale(r_matrix, p: int, r: int, n: int) -> float:
     """Squared Frobenius norm of the residual per entry.
 
@@ -238,11 +206,17 @@ def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
+def _whitening(data: ObservedData, sigma0) -> tuple[np.ndarray, ObservedData]:
+    """The symmetric root of the covariance shape, which maps whitened
+    coordinates back, and the observations whitened by its inverse."""
+    root, inv_root = sigma0_symmetric_roots(sigma0)
+    xw = inv_root @ data.stacked()
+    return root, ObservedData(x1=xw[: data.p], x2=xw[data.p :])
+
+
 def whiten(data: ObservedData, sigma0) -> ObservedData:
     """Transform observations so the error covariance shape becomes identity."""
-    _, inv_root = sigma0_symmetric_roots(sigma0)
-    xw = inv_root @ data.stacked()
-    return ObservedData(x1=xw[: data.p], x2=xw[data.p :])
+    return _whitening(data, sigma0)[1]
 
 
 def _graph_slope(m: np.ndarray, p: int) -> np.ndarray:
@@ -303,11 +277,7 @@ def _assemble(data, kind, es, b_hat, alpha_hat, u1_hat, objective_data, objectiv
         olse_objective=float(np.sum(r_mat * r_mat)),
         glse_objective=float(np.sum(q_mat * q_mat)),
         residual_scale=residual_scale(r_mat, data.p, data.r, data.n),
-        diagnostics=FitDiagnostics(
-            eigengap=es.eigengap,
-            g11_condition=es.g11_condition,
-            degenerate=es.degenerate,
-        ),
+        eigenstructure=es,
     )
 
 
@@ -322,10 +292,7 @@ def _fit_identity(data: ObservedData, kind: ModelKind) -> FitResult:
 
 
 def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> FitResult:
-    root, inv_root = sigma0_symmetric_roots(sigma0)
-    xw = inv_root @ data.stacked()
-    wdata = ObservedData(x1=xw[: data.p], x2=xw[data.p :])
-
+    root, wdata = _whitening(data, sigma0)
     w = scatter_matrix(wdata, kind)
     es = signal_eigenstructure(w, data.p)
     b_white = estimate_b(es)
@@ -341,22 +308,26 @@ def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> Fi
                      wdata, alpha_white, b_white, u1_white)
 
 
-def legacy_means(data: ObservedData, spec: ModelSpec) -> np.ndarray:
+def legacy_means(
+    data: ObservedData, spec: ModelSpec, result: FitResult | None = None
+) -> np.ndarray:
     """Predictor mean vectors per the legacy formula, routed like ``fit``.
 
-    Identity shape: the legacy eigenvector expression on the raw data. Known
+    The legacy eigenvector expression is evaluated on the eigenstructure of
+    ``result``, the fit of ``data`` under ``spec``; without one, the data is
+    fitted first. Identity shape: the expression on the raw data. Known
     shape: the same expression in whitened coordinates, mapped back through
     the fitted whitened graph. Incorrect for the intercept model either way;
     provided so reports can show the defect next to the corrected fit.
     """
-    _validate_for_fit(data, spec)
+    if result is None:
+        result = fit(data, spec)
+    elif result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape:
+        raise ValidationError("result is not a fit of this data under this model")
+    es = result.eigenstructure
     if spec.sigma0 is None:
-        es = signal_eigenstructure(scatter_matrix(data, spec.kind), data.p)
         return legacy_u1(data, es, spec.kind)
-    root, inv_root = sigma0_symmetric_roots(spec.sigma0)
-    xw = inv_root @ data.stacked()
-    wdata = ObservedData(x1=xw[: data.p], x2=xw[data.p :])
-    es = signal_eigenstructure(scatter_matrix(wdata, spec.kind), data.p)
+    root, wdata = _whitening(data, spec.sigma0)
     u1_white = legacy_u1(wdata, es, spec.kind)
     b_white = estimate_b(es)
     alpha_white = estimate_alpha(b_white, wdata, spec.kind)

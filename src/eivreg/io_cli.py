@@ -19,13 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    FitResult,
-    estimate_u1_projection,
-    fit,
-    legacy_means,
-    legacy_u1,
-)
+from .estimators import FitResult, estimate_u1_projection, fit, legacy_means, legacy_u1
 from .exceptions import (
     DimensionMismatchError,
     ExcessiveSkipsError,
@@ -34,13 +28,7 @@ from .exceptions import (
     UnidentifiableError,
     ValidationError,
 )
-from .model_core import (
-    ModelKind,
-    ModelSpec,
-    ObservedData,
-    scatter_matrix,
-    signal_eigenstructure,
-)
+from .model_core import ModelKind, ModelSpec, ObservedData
 from .oracle import glse_gradient_check, perturbation_probe, project_columns_oracle
 from .simulate import (
     ConsistencyReport,
@@ -71,6 +59,16 @@ LEGACY_MEANS_NOTE = (
 # dataset and matrix files
 # ---------------------------------------------------------------------------
 
+def _csv_rows(path):
+    """Rows of a UTF-8 CSV file, a leading byte-order mark dropped; a file
+    that is not UTF-8 fails with a ``ValidationError`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield from csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedData:
     """Read a CSV dataset: one observation per row, predictor columns first.
 
@@ -78,13 +76,12 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
     are inferred from the ``x1*``/``x2*`` name prefixes. Every cell must parse
     as a finite decimal real.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty dataset file") from None
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    reader = _csv_rows(path)
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: empty dataset file") from None
+    rows = [row for row in reader if any(cell.strip() for cell in row)]
 
     if p is None and r is None:
         p = sum(name.startswith("x1") for name in header)
@@ -149,8 +146,7 @@ def read_sigma0(path, size: int) -> np.ndarray:
     Symmetry is enforced by averaging with the transpose; asymmetry beyond
     1e-8 relative fails.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+    rows = [row for row in _csv_rows(path) if any(cell.strip() for cell in row)]
     if len(rows) != size or any(len(row) != size for row in rows):
         raise DimensionMismatchError(
             f"{path}: covariance shape must be {size}x{size} to match p + r"
@@ -363,7 +359,7 @@ def run_verify_suite(seed: int, instances: int) -> dict:
         }
         spec = ModelSpec(kind=kind)
         result = fit(data, spec)
-        es = signal_eigenstructure(scatter_matrix(data, kind), data.p)
+        es = result.eigenstructure
         legacy = legacy_u1(data, es, kind)
         x_scale = max(1.0, float(np.max(np.abs(data.stacked()))))
 
@@ -522,8 +518,8 @@ def _write_output(text: str, output) -> None:
 
 
 def _cmd_fit(args) -> int:
-    if args.tol <= 0:
-        raise ValidationError(f"--tol must be positive, got {args.tol}")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     data = read_dataset(args.input, args.p, args.r)
     kind = _kind_from_args(args)
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
@@ -535,7 +531,7 @@ def _cmd_fit(args) -> int:
             data, result, trials=200, scale=1e-3, seed=FIT_VERIFY_SEED,
             tol=args.tol, sigma0=sigma0,
         )
-    legacy = legacy_means(data, spec) if args.legacy_means else None
+    legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(
         data=data,
         spec=spec,

@@ -180,7 +180,7 @@ class EigenStructure:
         for block in (g11, g12, g21, g22):
             block.setflags(write=False)
         eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
-        degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * max(float(eigenvalues[0]), 1.0)
+        degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
         sigma_min = float(np.linalg.svd(g11, compute_uv=False)[-1])
         g11_condition = float(np.inf) if sigma_min == 0.0 else 1.0 / sigma_min
         return cls(

@@ -243,7 +243,7 @@ def consistency_experiment(
             data = generate_dataset(truth)
             try:
                 result = fit(data, spec)
-                legacy = legacy_means(data, spec)
+                legacy = legacy_means(data, spec, result)
             except UnidentifiableError:
                 skipped += 1
                 continue

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,11 +217,12 @@ def test_glse_residual_scalar_value():
 def test_residual_pair_consistency():
     _, data = noisy_instance(seed=30, index=3)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    pair = ev.residual_pair(data, result.alpha_hat, result.b_hat, result.u1_hat)
-    assert pair.r_matrix.shape == (data.p + data.r, data.n)
-    assert pair.q_matrix.shape == (data.r, data.n)
-    assert float(np.sum(pair.r_matrix**2)) == pytest.approx(result.olse_objective)
-    assert float(np.sum(pair.q_matrix**2)) == pytest.approx(result.glse_objective)
+    r_matrix = ev.residual_matrix(data, result.alpha_hat, result.b_hat, result.u1_hat)
+    q_matrix = ev.glse_residual(data, result.alpha_hat, result.b_hat)
+    assert r_matrix.shape == (data.p + data.r, data.n)
+    assert q_matrix.shape == (data.r, data.n)
+    assert float(np.sum(r_matrix**2)) == pytest.approx(result.olse_objective)
+    assert float(np.sum(q_matrix**2)) == pytest.approx(result.glse_objective)
 
 
 def test_residual_scale_examples():
@@ -354,6 +357,32 @@ def test_fit_scale_equivariance(c):
     np.testing.assert_allclose(scaled.b_hat, base.b_hat, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(scaled.alpha_hat, c * base.alpha_hat, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(scaled.u1_hat, c * base.u1_hat, rtol=1e-9, atol=1e-9)
+
+
+def _fit_counting_warnings(data, kind):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = ev.fit(data, ev.ModelSpec(kind=kind))
+    return result, sum(issubclass(w.category, ev.DegenerateSubspaceWarning) for w in caught)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-8.0, 8.0), st.sampled_from([INTERCEPT, NO_INTERCEPT]))
+def test_fit_is_equivariant_across_scales(exponent, kind):
+    s = 10.0**exponent
+    data = ev.generate_dataset(ev.random_truth(17, 0, kind, p=2, r=1, n=50))
+    base, base_warnings = _fit_counting_warnings(data, kind)
+    scaled, scaled_warnings = _fit_counting_warnings(
+        ev.ObservedData(x1=s * data.x1, x2=s * data.x2), kind
+    )
+    np.testing.assert_allclose(scaled.b_hat, base.b_hat, rtol=1e-9, atol=1e-12)
+    for name in ("alpha_hat", "u1_hat", "u2_hat"):
+        expected = s * getattr(base, name)
+        np.testing.assert_allclose(getattr(scaled, name), expected, rtol=1e-9, atol=1e-12 * s)
+    for name in ("olse_objective", "glse_objective"):
+        assert getattr(scaled, name) == pytest.approx(s * s * getattr(base, name), rel=1e-9)
+    assert scaled.diagnostics.degenerate == base.diagnostics.degenerate
+    assert scaled_warnings == base_warnings
 
 
 def test_slope_gram_identity():

@@ -79,6 +79,28 @@ def test_read_sigma0(tmp_path):
         io_cli.read_sigma0(small, 2)
 
 
+def test_read_dataset_and_sigma0_accept_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + DSB_CSV.encode())
+    data = io_cli.read_dataset(str(path))
+    assert (data.p, data.r, data.n) == (1, 1, 3)
+    np.testing.assert_array_equal(data.x1, [[0.0, 1.0, 2.0]])
+    sigma_path = tmp_path / "s.csv"
+    sigma_path.write_bytes(b"\xef\xbb\xbf2.0,0.5\n0.5,1.0\n")
+    np.testing.assert_array_equal(io_cli.read_sigma0(sigma_path, 2), [[2.0, 0.5], [0.5, 1.0]])
+
+
+def test_read_dataset_and_sigma0_reject_non_utf8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x1,x2\n0,1\n1,3\xff\n2,5\n")
+    with pytest.raises(ev.ValidationError, match="latin.csv"):
+        io_cli.read_dataset(str(path))
+    sigma_path = tmp_path / "s.csv"
+    sigma_path.write_bytes(b"2.0,0.5\n0.5,\xff1.0\n")
+    with pytest.raises(ev.ValidationError, match="s.csv"):
+        io_cli.read_sigma0(sigma_path, 2)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
@@ -178,6 +200,26 @@ def test_cli_fit_verify_failure_exits_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["oracle"]["passed"] is False
     assert report["oracle"]["max_abs_deviation"] > 0.0
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1.5"])
+def test_cli_fit_rejects_non_finite_or_non_positive_tol(tmp_path, capsys, tol):
+    path = write(tmp_path, "dsb.csv", DSB_CSV)
+    code, out, err = run_cli(capsys, [
+        "fit", "--input", path, "--intercept", "--verify", "--tol", tol,
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tol")
+
+
+def test_cli_non_utf8_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x1,x2\n0,1\xff\n1,3\n2,5\n")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(path), "--intercept"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "latin.csv" in err
 
 
 def test_cli_fit_sigma0_identity_matches(tmp_path, capsys):
