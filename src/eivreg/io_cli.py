@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -69,19 +70,78 @@ def _csv_rows(path):
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _parse_cells(path, rows, columns, quote_columns=True) -> np.ndarray:
+    """Parse rows of CSV cells into a float matrix, one column per label.
+
+    Each row must have one cell per column, and each cell must parse with
+    ``float`` as a finite real. The first failure raises, naming its 1-based
+    row and its column label (quoted in the message when ``quote_columns``).
+    """
+    values = np.empty((len(rows), len(columns)))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(columns):
+            raise DimensionMismatchError(
+                f"{path}: row {i} has {len(row)} cells, expected {len(columns)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = float("nan")
+            if not np.isfinite(value):
+                shown = repr(columns[j]) if quote_columns else columns[j]
+                raise ParseError(
+                    f"{path}: row {i}, column {shown}: {cell.strip()!r} is not a finite real",
+                    row=i,
+                    column=columns[j],
+                )
+            values[i - 1, j] = value
+    return values
+
+
+def _parse_dataset_fast(path):
+    """Header cells and body values of a dataset, the body parsed by numpy in
+    one pass; ``(None, None)`` unless the body is at least 2 rows of finite
+    values, one per header cell.
+
+    ``comments=None`` keeps ``#`` an ordinary character, so a ``#`` row or
+    cell fails here instead of being dropped or truncated. Whatever fails
+    here (a decode error, quoted cells, ``1_000``, blank rows holding spaces
+    or commas) is left to the per-cell scan, which accepts it or reports it.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = next(csv.reader(handle), None)
+            if header is None:
+                return None, None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None, None
+    if len(values) < 2 or values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None, None
+    return header, values
+
+
 def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedData:
     """Read a CSV dataset: one observation per row, predictor columns first.
 
     The header row names the columns; when ``p`` and ``r`` are not given they
     are inferred from the ``x1*``/``x2*`` name prefixes. Every cell must parse
-    as a finite decimal real.
+    as a finite decimal real. Blank rows are skipped; there are no comments.
+    A file the one-pass numpy parse does not take whole is scanned again cell
+    by cell, which decides what is accepted and where an error points.
     """
-    reader = _csv_rows(path)
-    try:
-        header = [name.strip() for name in next(reader)]
-    except StopIteration:
-        raise ValidationError(f"{path}: empty dataset file") from None
-    rows = [row for row in reader if any(cell.strip() for cell in row)]
+    header, values = _parse_dataset_fast(path)
+    if values is None:
+        reader = _csv_rows(path)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty dataset file") from None
+        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    header = [name.strip() for name in header]
 
     if p is None and r is None:
         p = sum(name.startswith("x1") for name in header)
@@ -104,28 +164,10 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
         raise DimensionMismatchError(
             f"{path}: file has {len(header)} columns, expected p + r = {p + r}"
         )
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least 2 observation rows, got {len(rows)}")
-
-    values = np.empty((len(rows), p + r))
-    for i, row in enumerate(rows, start=1):
-        if len(row) != p + r:
-            raise DimensionMismatchError(
-                f"{path}: row {i} has {len(row)} cells, expected {p + r}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = float("nan")
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {i}, column {header[j]!r}: "
-                    f"{cell.strip()!r} is not a finite real",
-                    row=i,
-                    column=header[j],
-                )
-            values[i - 1, j] = value
+    if values is None:
+        if len(rows) < 2:
+            raise ValidationError(f"{path}: need at least 2 observation rows, got {len(rows)}")
+        values = _parse_cells(path, rows, header)
     return ObservedData(x1=values[:, :p].T, x2=values[:, p:].T)
 
 
@@ -151,20 +193,7 @@ def read_sigma0(path, size: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"{path}: covariance shape must be {size}x{size} to match p + r"
         )
-    matrix = np.empty((size, size))
-    for i, row in enumerate(rows, start=1):
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = float("nan")
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {i}, column {j + 1}: {cell.strip()!r} is not a finite real",
-                    row=i,
-                    column=str(j + 1),
-                )
-            matrix[i - 1, j] = value
+    matrix = _parse_cells(path, rows, [str(j + 1) for j in range(size)], quote_columns=False)
     scale = max(1.0, float(np.max(np.abs(matrix))))
     if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * scale:
         raise ValidationError(f"{path}: covariance shape is asymmetric beyond 1e-8 relative")

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import eivreg as ev
 from eivreg import io_cli
@@ -99,6 +102,105 @@ def test_read_dataset_and_sigma0_reject_non_utf8(tmp_path):
     sigma_path.write_bytes(b"2.0,0.5\n0.5,\xff1.0\n")
     with pytest.raises(ev.ValidationError, match="s.csv"):
         io_cli.read_sigma0(sigma_path, 2)
+
+
+# Files the one-pass numpy parse declines, or must not take at face value:
+# each gives the values or the error of the per-cell `float` scan.
+PARSE_CASES = {
+    "comment_row": ("x1,x2\n0,1\n#3,4\n5,6\n", (ev.ParseError, 2, "x1")),
+    "comment_suffix": ("x1,x2\n0,1\n4,1.5#\n5,6\n", (ev.ParseError, 2, "x2")),
+    "nan": ("x1,x2\n0,1\n2,3\nnan,6\n", (ev.ParseError, 3, "x1")),
+    "inf": ("x1,x2\n0,1\n2,inf\n5,6\n", (ev.ParseError, 2, "x2")),
+    "overflow": ("x1,x2\n0,1\n2,1e400\n5,6\n", (ev.ParseError, 2, "x2")),
+    "trailing_comma": ("x1,x2\n0,1\n2,3,\n5,6\n", (ev.DimensionMismatchError, 2, None)),
+    "short_row": ("x1,x2\n0,1\n2,3\n5\n", (ev.DimensionMismatchError, 3, None)),
+    "quoted": ('x1,x2\n0,1\n"1.5",3\n5,6\n', [[0, 1], [1.5, 3], [5, 6]]),
+    "underscore": ("x1,x2\n0,1_000\n2,3\n", [[0, 1000], [2, 3]]),
+    "non_ascii_digit": ("x1,x2\n0,\u0661\n2,3\n", [[0, 1], [2, 3]]),
+    "crlf": ("x1,x2\r\n0,1\r\n2,3\r\n4,5\r\n", [[0, 1], [2, 3], [4, 5]]),
+    "blank_rows": ("x1,x2\n0,1\n \t\n,,\n\n2,3\n", [[0, 1], [2, 3]]),
+    "blank_rows_then_error": ("x1,x2\n0,1\n  \n,,\n2,3\n4,oops\n", (ev.ParseError, 3, "x2")),
+    "bom": ("\ufeffx1,x2\n0,1\n2,3\n4,5\n6,7\n", [[0, 1], [2, 3], [4, 5], [6, 7]]),
+}
+
+
+@pytest.mark.parametrize("text, expected", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_read_dataset_parses_as_float_would(tmp_path, text, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, list):
+        data = io_cli.read_dataset(str(path))
+        np.testing.assert_array_equal(np.vstack([data.x1, data.x2]).T, expected)
+        return
+    error, row, column = expected
+    with pytest.raises(error) as excinfo:
+        io_cli.read_dataset(str(path))
+    if error is ev.ParseError:
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+    else:
+        assert f": row {row} has " in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text", [DSB_CSV, DSB_CSV.replace("\n", "\r\n"), "\ufeff" + DSB_CSV,
+                                  "x1,x2\n0,1\n\n1,3\n 2 ,5"])
+def test_read_dataset_plain_numeric_file_skips_per_cell_scan(tmp_path, monkeypatch, text):
+    def per_cell_scan(*args, **kwargs):
+        raise AssertionError("plain numeric file fell back to the per-cell scan")
+
+    monkeypatch.setattr(io_cli, "_parse_cells", per_cell_scan)
+    path = tmp_path / "plain.csv"
+    path.write_bytes(text.encode("utf-8"))
+    data = io_cli.read_dataset(str(path))
+    np.testing.assert_array_equal(np.vstack([data.x1, data.x2]).T, [[0, 1], [1, 3], [2, 5]])
+
+
+FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(FINITE_DOUBLES, FINITE_DOUBLES), min_size=2, max_size=20))
+@example([(-0.0, 5e-324), (sys.float_info.max, -sys.float_info.max),
+          (-2.2250738585072014e-308 / 3, 0.1)])
+def test_read_dataset_values_are_bit_exact(tmp_path, rows):
+    expected = np.array(rows)
+    for render in (repr, "%.17g".__mod__):
+        path = tmp_path / "values.csv"
+        cells = [[render(v) for v in row] for row in rows]
+        path.write_text("x1,x2\n" + "".join(",".join(row) + "\n" for row in cells))
+        data = io_cli.read_dataset(str(path))
+        got = np.vstack([data.x1, data.x2]).T
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == np.array([[float(c) for c in row] for row in cells]).tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty dataset file"),
+    ("\ufeff", "empty dataset file"),
+    ("x1,x2\n", "need at least 2 observation rows, got 0"),
+    ("x1,x2\n\n \n", "need at least 2 observation rows, got 0"),
+    ("x1,x2\n0,1\n", "need at least 2 observation rows, got 1"),
+])
+def test_read_dataset_edge_messages(tmp_path, text, message):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ev.ValidationError) as excinfo:
+        io_cli.read_dataset(str(path))
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def write_late_non_utf8(tmp_path):
+    # the bad byte lies well past the first buffered block, so the header
+    # decodes and the error comes from inside the body parse
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"x1,x2\n" + b"0.5,1.5\n" * 20000 + b"1,3\xff\n2,5\n")
+    return path
+
+
+def test_read_dataset_non_utf8_inside_body_parse(tmp_path):
+    path = write_late_non_utf8(tmp_path)
+    with pytest.raises(ev.ValidationError, match=r"late\.csv: not UTF-8 text"):
+        io_cli.read_dataset(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +322,14 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "latin.csv" in err
+
+
+def test_cli_non_utf8_inside_body_parse_exits_1(tmp_path, capsys):
+    path = write_late_non_utf8(tmp_path)
+    code, out, err = run_cli(capsys, ["fit", "--input", str(path), "--intercept"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_cli_fit_sigma0_identity_matches(tmp_path, capsys):
