@@ -68,6 +68,8 @@ def _csv_rows(path):
             yield from csv.reader(handle)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: not readable as CSV ({exc})") from None
 
 
 def _parse_cells(path, rows, columns, quote_columns=True) -> np.ndarray:
@@ -117,7 +119,7 @@ def _parse_dataset_fast(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body with no rows
                 values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
+    except (ValueError, csv.Error):  # the per-cell scan reports a csv.Error
         return None, None
     if len(values) < 2 or values.shape[1] != len(header) or not np.isfinite(values).all():
         return None, None
@@ -217,7 +219,7 @@ def _matrix_payload(matrix) -> dict:
     return {
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
-        "data": [[float(v) for v in row] for row in matrix],
+        "data": matrix.tolist(),
     }
 
 
@@ -281,8 +283,64 @@ def build_fit_report(
     return report
 
 
+# stands in for a matrix's rows while the rest of a report goes through json
+_ROWS_TOKEN = "@eivreg-matrix-rows@"
+
+
+def _rows_json(data, indent: str):
+    """What ``json.dumps(indent=2)`` writes for ``data`` as the value of a key
+    indented by ``indent``, when ``data`` is a non-empty matrix of finite
+    floats given as lists of rows; None for anything else."""
+    if not isinstance(data, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in data
+    ):
+        return None
+    try:
+        values = np.array(data, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if values.ndim != 2 or values.size == 0 or not np.isfinite(values).all():
+        return None
+    row_indent, cell_indent = indent + "  ", indent + "    "
+    cell_sep = ",\n" + cell_indent
+    try:
+        rows = f"\n{row_indent}],\n{row_indent}[\n{cell_indent}".join(
+            cell_sep.join(map(float.__repr__, row)) for row in data
+        )
+    except TypeError:  # an int, bool or str cell, which json writes its own way
+        return None
+    return f"[\n{row_indent}[\n{cell_indent}{rows}\n{row_indent}]\n{indent}]"
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """``json.dumps(report, indent=2)`` and a newline, byte for byte.
+
+    The rows of each finite ``"data"`` matrix are written with one join per
+    row instead of the encoder's per-element loop; json writes the rest.
+    """
+    matrices = []
+
+    def swap(node: dict, indent: str) -> dict:
+        out = {}
+        for key, value in node.items():
+            if isinstance(value, dict):
+                value = swap(value, indent + "  ")
+            elif key == "data":
+                text = _rows_json(value, indent)
+                if text is not None:
+                    matrices.append(text)
+                    value = _ROWS_TOKEN
+            out[key] = value
+        return out
+
+    pieces = json.dumps(swap(report, "  "), indent=2).split(f'"{_ROWS_TOKEN}"')
+    if len(pieces) != len(matrices) + 1:  # the report holds the token itself
+        return json.dumps(report, indent=2) + "\n"
+    parts = [pieces[0]]
+    for matrix, piece in zip(matrices, pieces[1:]):
+        parts += (matrix, piece)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _flatten(prefix: str, value, rows: list) -> None:

@@ -46,27 +46,21 @@ def project_columns_oracle(data: ObservedData, alpha, b, sigma0=None) -> np.ndar
     For each observation column independently, minimizes the (optionally
     covariance-weighted) squared distance between the column and a point of
     the model's affine graph set, by assembling and solving the normal
-    equations of the stacked map from scratch. Deliberately shares no code
-    with the estimator module's closed forms.
+    equations of the stacked map from scratch. The normal matrix is the same
+    for every column, so all n systems go to one solve, one right-hand side
+    per column. Deliberately shares no code with the estimator module's
+    closed forms.
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    p, n = data.p, data.n
-    stacked = data.stacked()
-    offset = np.concatenate([np.zeros(p), alpha])
-    u1 = np.empty((p, n))
-    for i in range(n):
-        graph_map = np.vstack([np.eye(p), b])
-        shifted = stacked[:, i] - offset
-        if sigma0 is None:
-            normal = graph_map.T @ graph_map
-            rhs = graph_map.T @ shifted
-        else:
-            weighted = np.linalg.solve(sigma0, graph_map)
-            normal = graph_map.T @ weighted
-            rhs = weighted.T @ shifted
-        u1[:, i] = np.linalg.solve(normal, rhs)
-    return u1
+    p = data.p
+    graph_map = np.vstack([np.eye(p), b])
+    shifted = data.stacked()
+    shifted[p:] -= alpha[:, None]
+    weighted = graph_map if sigma0 is None else np.linalg.solve(sigma0, graph_map)
+    normal = graph_map.T @ weighted
+    # column i of the right-hand side holds column i's own normal equations
+    return np.linalg.solve(normal, weighted.T @ shifted)
 
 
 def _olse_objective(data: ObservedData, alpha, b, u1) -> float:
@@ -180,6 +174,8 @@ def perturbation_probe(
     base = _olse_objective(view_data, alpha, b, u1)
     slack = PERTURBATION_SLACK * max(1.0, base)
     perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
+    u1_spread = 1.0 + np.abs(u1)
+    u1_t = np.empty(u1.shape)
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
@@ -187,7 +183,11 @@ def perturbation_probe(
         if perturb_alpha:
             alpha_t = alpha + rng.normal(size=alpha.shape) * scale * (1.0 + np.abs(alpha))
         b_t = b + rng.normal(size=b.shape) * scale * (1.0 + np.abs(b))
-        u1_t = u1 + rng.normal(size=u1.shape) * scale * (1.0 + np.abs(u1))
+        # in place, and in the same rounding order as u1 + z * scale * spread
+        rng.standard_normal(out=u1_t)
+        u1_t *= scale
+        u1_t *= u1_spread
+        u1_t += u1
         if _olse_objective(view_data, alpha_t, b_t, u1_t) < base - slack:
             violations += 1
 

@@ -1,0 +1,71 @@
+"""The benchmark under bench/ reaches into the program by name: its tracer
+patches functions at the modules that define or import them. These tests run
+the benchmark's own self-test and one traced certified fit, so a change that
+moves or renames a traced function fails here and not only in a traced run.
+Nothing under bench/ is changed.
+"""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from eivreg import io_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def test_bench_selftest_passes():
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def write_csv(path, rows, header=None):
+    lines = [",".join(header)] if header else []
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_traced_certified_fit_records_every_oracle_span(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    p, r, n = 3, 2, 30
+    rng = np.random.default_rng(4)
+    x1 = rng.normal(size=(p, n)) + 2.0
+    x2 = rng.normal(size=(r, 1)) + rng.normal(size=(r, p)) @ x1 + 0.3 * rng.normal(size=(r, n))
+    header = [f"x1_{k + 1}" for k in range(p)] + [f"x2_{k + 1}" for k in range(r)]
+    dataset = write_csv(tmp_path / "d.csv", np.vstack([x1, x2]).T, header)
+    shape = rng.normal(size=(p + r, p + r))
+    sigma0 = write_csv(tmp_path / "s.csv", shape @ shape.T / 5 + 0.5 * np.eye(p + r))
+
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        code = io_cli.main(["fit", "--input", dataset, "--intercept", "--sigma0", sigma0,
+                            "--emit-means", "--legacy-means", "--verify",
+                            "--output", str(tmp_path / "report.json")])
+    finally:
+        tracer.close()
+
+    assert code == 0
+    names = {span["name"] for span in tracer.spans}
+    assert {
+        "io_cli.read_dataset", "estimators.fit_sigma0", "estimators.legacy_means",
+        "oracle.perturbation_probe", "oracle.project_columns_oracle",
+        "oracle.glse_gradient_check", "io_cli.build_fit_report", "io_cli.report_to_json",
+    } <= names
+    # the fitted point, 200 trials and the legacy means, then two GLSE
+    # evaluations per intercept and slope coordinate and one at the fit
+    evals = 200 + 2 + 2 * (r + r * p) + 1
+    assert tracer.counts["oracle.objective_evals"] == evals
+    metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
+                                    overhead=0.0)
+    assert metrics["oracle.objective_evals"]["value"] == evals
+    for name in ("oracle.project_columns_oracle.ms", "oracle.glse_gradient_check.ms",
+                 "oracle.perturbation_probe.self_ms", "io_cli.report.ms"):
+        assert metrics[name]["value"] > 0.0

@@ -203,6 +203,25 @@ def test_read_dataset_non_utf8_inside_body_parse(tmp_path):
         io_cli.read_dataset(str(path))
 
 
+# longer than the csv module's default field limit of 131072 characters
+LONG_CELL = "1" + "0" * 200000 + "x"
+
+
+@pytest.mark.parametrize("text", [
+    f"x1,x2\n0,1\n2,{LONG_CELL}\n4,5\n",
+    f"x1,x2{LONG_CELL}\n0,1\n2,3\n",
+], ids=["body_cell", "header"])
+def test_field_beyond_csv_limit_is_a_typed_error(tmp_path, capsys, text):
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    with pytest.raises(ev.ValidationError, match=r"long\.csv: not readable as CSV"):
+        io_cli.read_dataset(str(path))
+    code, out, err = run_cli(capsys, ["fit", "--input", str(path), "--intercept"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not readable as CSV (field larger than field limit")
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
@@ -220,6 +239,48 @@ def test_fit_report_json_fixed_point(tmp_path):
     report = fit_report_for_dsb(tmp_path, emit_means=True)
     text = io_cli.report_to_json(report)
     assert io_cli.report_to_json(json.loads(text)) == text
+
+
+MATRIX_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     sys.float_info.max, -sys.float_info.max, 1e16, 1e-7,
+                     float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def matrix_payloads(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    data = [[draw(MATRIX_CELLS) for _ in range(cols)] for _ in range(rows)]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+REPORTS = st.recursive(
+    st.dictionaries(st.sampled_from(["data", "u1_hat", "note", "n"]),
+                    st.one_of(matrix_payloads(), st.text(max_size=5), st.integers(),
+                              st.lists(st.lists(st.floats(), max_size=3), max_size=3))),
+    lambda children: st.dictionaries(
+        st.sampled_from(["means", "estimates", "legacy_means", "b_hat"]),
+        st.one_of(children, matrix_payloads()), max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORTS)
+@example({"means": {"u1_hat": {"rows": 1, "cols": 1, "data": [[1e16]]}}})
+@example({"a": {"rows": 2, "cols": 0, "data": [[], []]}, "b": {"data": []}})
+@example({"m": {"data": [[1, 2.0], [True, 1e-7]]}, "t": "@eivreg-matrix-rows@"})
+@example({"m": {"data": [[0.5, -0.0]]}, "@eivreg-matrix-rows@": {"data": [[5e-324]]}})
+def test_report_to_json_is_json_dumps(report):
+    assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
+
+
+def test_report_to_json_on_a_full_fit_report(tmp_path):
+    report = fit_report_for_dsb(tmp_path, emit_means=True, legacy=[[-1.0, 0.0, 1.0]])
+    assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_fit_report_contents(tmp_path):
