@@ -20,7 +20,6 @@ from .estimators import (
     residual_matrix,
     residual_scale,
     sigma0_symmetric_roots,
-    whiten,
 )
 from .exceptions import (
     DegenerateSubspaceWarning,
@@ -96,5 +95,4 @@ __all__ = [
     "scatter_matrix",
     "sigma0_symmetric_roots",
     "signal_eigenstructure",
-    "whiten",
 ]

@@ -42,8 +42,8 @@ class FitResult:
     reported in whitened coordinates; the parameter and mean estimates are in
     original coordinates. ``eigenstructure`` is the decomposition of the
     scatter matrix the fit was computed from (of the whitened observations
-    under a known shape); ``diagnostics`` is the same object, read for its
-    ``eigengap``, ``g11_condition`` and ``degenerate`` fields.
+    under a known shape); reports read its ``eigengap``, ``g11_condition``
+    and ``degenerate`` fields.
     """
 
     kind: ModelKind
@@ -55,10 +55,6 @@ class FitResult:
     glse_objective: float
     residual_scale: float
     eigenstructure: EigenStructure
-
-    @property
-    def diagnostics(self) -> EigenStructure:
-        return self.eigenstructure
 
 
 def estimate_b(es: EigenStructure) -> np.ndarray:
@@ -86,21 +82,6 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     return data.x2.mean(axis=1) - b_hat @ data.x1.mean(axis=1)
 
 
-def _signal_projection(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
-    """Shared eigenvector-basis expression: g11 (g11' X1c + g21' X2c) with the
-    centering operator applied for the intercept model."""
-    x1c = center_columns(data.x1, kind)
-    x2c = center_columns(data.x2, kind)
-    return es.g11 @ (es.g11.T @ x1c) + es.g11 @ (es.g21.T @ x2c)
-
-
-def _mean_shift_term(data: ObservedData) -> np.ndarray:
-    """The per-row mean of the predictor block broadcast over all columns."""
-    return np.broadcast_to(
-        data.x1.mean(axis=1, keepdims=True), (data.p, data.n)
-    ).copy()
-
-
 def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """Least-squares estimate of the predictor mean vectors, eigenvector route.
 
@@ -109,10 +90,10 @@ def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKin
     omission makes the legacy form incorrect. For the no-intercept model no
     centering or shift applies and the legacy form is already correct.
     """
-    projected = _signal_projection(data, es, kind)
+    legacy = legacy_u1(data, es, kind)
     if kind is ModelKind.NO_INTERCEPT:
-        return projected
-    return _mean_shift_term(data) + projected
+        return legacy
+    return data.x1.mean(axis=1, keepdims=True) + legacy
 
 
 def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
@@ -129,14 +110,17 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
 
 
 def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
-    """The historically published mean-vector estimate, without the mean shift.
+    """The historically published mean-vector estimate, without the mean shift:
+    g11 (g11' X1c + g21' X2c), with the columns centered for the intercept model.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
     no-intercept model it coincides with the corrected estimate. Retained so
     the defect can be demonstrated and reported side by side.
     """
-    return _signal_projection(data, es, kind)
+    x1c = center_columns(data.x1, kind)
+    x2c = center_columns(data.x2, kind)
+    return es.g11 @ (es.g11.T @ x1c) + es.g11 @ (es.g21.T @ x2c)
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
@@ -155,12 +139,6 @@ def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:
     return np.vstack([data.x1 - u1, data.x2 - alpha[:, None] - b @ u1])
 
 
-def _inverse_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite inverse square root via eigendecomposition."""
-    lam, v = np.linalg.eigh((m + m.T) / 2.0)
-    return (v / np.sqrt(lam)) @ v.T
-
-
 def glse_residual(data: ObservedData, alpha, b) -> np.ndarray:
     """Normalized response residual: (I + BB')^{-1/2} (X2 - alpha 1' - B X1).
 
@@ -170,7 +148,7 @@ def glse_residual(data: ObservedData, alpha, b) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    normalizer = _inverse_sqrt_spd(np.eye(data.r) + b @ b.T)
+    _, normalizer = sigma0_symmetric_roots(np.eye(data.r) + b @ b.T)
     return normalizer @ (data.x2 - alpha[:, None] - b @ data.x1)
 
 
@@ -212,11 +190,6 @@ def _whitening(data: ObservedData, sigma0) -> tuple[np.ndarray, ObservedData]:
     root, inv_root = sigma0_symmetric_roots(sigma0)
     xw = inv_root @ data.stacked()
     return root, ObservedData(x1=xw[: data.p], x2=xw[data.p :])
-
-
-def whiten(data: ObservedData, sigma0) -> ObservedData:
-    """Transform observations so the error covariance shape becomes identity."""
-    return _whitening(data, sigma0)[1]
 
 
 def _graph_slope(m: np.ndarray, p: int) -> np.ndarray:

@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from . import __version__
-from .estimators import FitResult, estimate_u1_projection, fit, legacy_means, legacy_u1
+from . import __version__, invariants
+from .estimators import FitResult, fit, legacy_means
 from .exceptions import (
     DimensionMismatchError,
     ExcessiveSkipsError,
@@ -30,11 +30,12 @@ from .exceptions import (
     ValidationError,
 )
 from .model_core import ModelKind, ModelSpec, ObservedData
-from .oracle import glse_gradient_check, perturbation_probe, project_columns_oracle
+from .oracle import AGREEMENT_TOL, perturbation_probe
 from .simulate import (
     ConsistencyReport,
     ErrorKind,
     SyntheticTruth,
+    _require_nonnegative_seed,
     consistency_experiment,
     default_mean_grid,
     generate_dataset,
@@ -257,9 +258,9 @@ def build_fit_report(
             "note": RESIDUAL_SCALE_NOTE,
         },
         "diagnostics": {
-            "eigengap": float(result.diagnostics.eigengap),
-            "g11_condition": float(result.diagnostics.g11_condition),
-            "degenerate": bool(result.diagnostics.degenerate),
+            "eigengap": float(result.eigenstructure.eigengap),
+            "g11_condition": float(result.eigenstructure.g11_condition),
+            "degenerate": bool(result.eigenstructure.degenerate),
         },
     }
     if emit_means:
@@ -402,95 +403,37 @@ def consistency_summary(report: ConsistencyReport, extra: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def run_verify_suite(seed: int, instances: int) -> dict:
-    """Check the full invariant suite over seeded random instances.
-
-    Instances alternate between the intercept and no-intercept models across
-    p in 1..4, r in 1..3, n in 10..60. Each invariant row records how many
-    instances it covered and the worst deviation-to-threshold ratio; a ratio
-    above 1 is a failure. Returns the table rows plus a payload describing the
-    first failing instance, if any.
+    """Run ``invariants.check_fit`` on seeded random instances, alternating
+    between the intercept and no-intercept models across p in 1..4, r in 1..3,
+    n in 10..60. Each table row counts the instances an invariant covered and
+    keeps its worst deviation-to-limit ratio (above 1 fails); the first
+    failing instance, if any, is kept for reproduction.
     """
     if instances < 1:
         raise ValidationError(f"instances must be >= 1, got {instances}")
-    checks = {
-        "mean-route-equivalence": {"checked": 0, "max_ratio": 0.0},
-        "mean-shift-identity": {"checked": 0, "max_ratio": 0.0},
-        "slope-gram-identity": {"checked": 0, "max_ratio": 0.0},
-        "no-intercept-coincidence": {"checked": 0, "max_ratio": 0.0},
-        "oracle-agreement": {"checked": 0, "max_ratio": 0.0},
-        "glse-stationarity": {"checked": 0, "max_ratio": 0.0},
-    }
+    checks = {name: {"checked": 0, "max_ratio": 0.0} for name in invariants.NAMES}
     first_failure = None
-
-    def record(name, ratio, instance):
-        nonlocal first_failure
-        entry = checks[name]
-        entry["checked"] += 1
-        entry["max_ratio"] = max(entry["max_ratio"], ratio)
-        if ratio > 1.0 and first_failure is None:
-            first_failure = {"invariant": name, "ratio": ratio, **instance}
-
     for index in range(instances):
         kind = ModelKind.INTERCEPT if index % 2 == 0 else ModelKind.NO_INTERCEPT
-        truth = random_truth(seed, index, kind)
-        data = generate_dataset(truth)
-        instance = {
-            "seed": seed,
-            "index": index,
-            "kind": kind.value,
-            "p": data.p,
-            "r": data.r,
-            "n": data.n,
-            "x1": [[float(v) for v in row] for row in data.x1],
-            "x2": [[float(v) for v in row] for row in data.x2],
-        }
+        data = generate_dataset(random_truth(seed, index, kind))
         spec = ModelSpec(kind=kind)
-        result = fit(data, spec)
-        es = result.eigenstructure
-        legacy = legacy_u1(data, es, kind)
-        x_scale = max(1.0, float(np.max(np.abs(data.stacked()))))
-
-        projected = estimate_u1_projection(data, result.alpha_hat, result.b_hat)
-        deviation = float(np.max(np.abs(projected - result.u1_hat)))
-        record("mean-route-equivalence", deviation / (1e-9 * x_scale), instance)
-
-        if kind is ModelKind.INTERCEPT:
-            shift = np.broadcast_to(data.x1.mean(axis=1, keepdims=True), data.x1.shape)
-            deviation = float(np.max(np.abs((result.u1_hat - legacy) - shift)))
-            record("mean-shift-identity", deviation / 1e-12, instance)
-        else:
-            deviation = float(np.max(np.abs(result.u1_hat - legacy)))
-            record("no-intercept-coincidence", deviation / 1e-12, instance)
-
-        gram = result.b_hat.T @ result.b_hat
-        inverse_g11 = np.linalg.solve(es.g11, np.eye(data.p))
-        identity_form = inverse_g11.T @ inverse_g11 - np.eye(data.p)
-        deviation = float(np.max(np.abs(gram - identity_form)))
-        record(
-            "slope-gram-identity",
-            deviation / (1e-9 * max(1.0, float(np.max(np.abs(gram))))),
-            instance,
-        )
-
-        oracle_u1 = project_columns_oracle(data, result.alpha_hat, result.b_hat)
-        deviation = float(np.max(np.abs(oracle_u1 - result.u1_hat)))
-        record(
-            "oracle-agreement",
-            deviation / (1e-9 * max(1.0, float(np.max(np.abs(result.u1_hat))))),
-            instance,
-        )
-
-        if not result.diagnostics.degenerate:
-            gradient = glse_gradient_check(data, result.alpha_hat, result.b_hat)
-            if kind is ModelKind.NO_INTERCEPT:
-                # the intercept is a known constant there, not a free parameter
-                gradient = gradient[data.r :]
-            deviation = float(np.max(np.abs(gradient)))
-            record(
-                "glse-stationarity",
-                deviation / (1e-5 * max(1.0, result.glse_objective)),
-                instance,
-            )
+        for name, ratio in invariants.check_fit(data, spec, fit(data, spec)).items():
+            entry = checks[name]
+            entry["checked"] += 1
+            entry["max_ratio"] = max(entry["max_ratio"], ratio)
+            if ratio > 1.0 and first_failure is None:
+                first_failure = {
+                    "invariant": name,
+                    "ratio": ratio,
+                    "seed": seed,
+                    "index": index,
+                    "kind": kind.value,
+                    "p": data.p,
+                    "r": data.r,
+                    "n": data.n,
+                    "x1": data.x1.tolist(),
+                    "x2": data.x2.tolist(),
+                }
 
     return {
         "seed": seed,
@@ -567,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(incorrect for the intercept model)")
     fit_parser.add_argument("--verify", action="store_true",
                             help="run the oracle suite and embed its report")
-    fit_parser.add_argument("--tol", type=float, default=1e-9,
+    fit_parser.add_argument("--tol", type=float, default=AGREEMENT_TOL,
                             help="verification tolerance (default 1e-9)")
     fit_parser.add_argument("--output", default=None, help="write the report here")
     fit_parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -649,6 +592,7 @@ def _cmd_simulate(args) -> int:
     if not (np.isfinite(args.sigma) and args.sigma >= 0):
         raise ValidationError(f"--sigma must be finite and >= 0, got {args.sigma}")
     grid = _parse_grid(args.n_grid)
+    _require_nonnegative_seed(args.seed)
     rng = np.random.default_rng([args.seed, 0])
     b = rng.standard_normal((args.r, args.p))
     alpha = rng.standard_normal(args.r) if kind is ModelKind.INTERCEPT else np.zeros(args.r)

@@ -3,8 +3,8 @@
 Everything the estimators consume but do not own lives here: the stacked
 observation blocks, the intercept/no-intercept model choice, the centering
 operator, the scatter matrix W of the (optionally centered) observations, and
-the descending-ordered symmetric eigendecomposition of W partitioned into the
-four blocks used by the slope and mean-vector estimators.
+the descending-ordered symmetric eigendecomposition of W with the blocks of
+its signal basis that the slope and mean-vector estimators read.
 """
 
 from __future__ import annotations
@@ -141,21 +141,19 @@ class EigenStructure:
     """Ordered eigendecomposition of the scatter matrix, with block partition.
 
     ``w = g @ diag(eigenvalues) @ g.T`` with eigenvalues sorted descending and
-    eigenvector columns aligned. ``g11`` is the top-left p-by-p block of ``g``;
-    ``g21``, ``g12``, ``g22`` complete the 2-by-2 partition. ``eigengap`` is
-    the separation between the p-th and (p+1)-th eigenvalues;
-    ``g11_condition`` estimates the conditioning of inverting ``g11``
-    (1/sigma_min, which bounds the classical condition number since the
-    singular values of an orthogonal matrix's block never exceed 1).
+    eigenvector columns aligned. ``g11`` is the top-left p-by-p block of ``g``
+    and ``g21`` the block below it. ``eigengap`` is the separation between the
+    p-th and (p+1)-th eigenvalues; ``g11_condition`` estimates the conditioning
+    of inverting ``g11`` (1/sigma_min, which bounds the classical condition
+    number since the singular values of an orthogonal matrix's block never
+    exceed 1).
     """
 
     w: np.ndarray
     eigenvalues: np.ndarray
     g: np.ndarray
     g11: np.ndarray
-    g12: np.ndarray
     g21: np.ndarray
-    g22: np.ndarray
     eigengap: float
     g11_condition: float
     degenerate: bool
@@ -174,10 +172,8 @@ class EigenStructure:
         if not 1 <= p < m:
             raise ValidationError(f"p must satisfy 1 <= p < {m}, got {p}")
         g11 = g[:p, :p].copy()
-        g12 = g[:p, p:].copy()
         g21 = g[p:, :p].copy()
-        g22 = g[p:, p:].copy()
-        for block in (g11, g12, g21, g22):
+        for block in (g11, g21):
             block.setflags(write=False)
         eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
         degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
@@ -188,9 +184,7 @@ class EigenStructure:
             eigenvalues=eigenvalues,
             g=g,
             g11=g11,
-            g12=g12,
             g21=g21,
-            g22=g22,
             eigengap=eigengap,
             g11_condition=g11_condition,
             degenerate=degenerate,

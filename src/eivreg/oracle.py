@@ -20,7 +20,7 @@ from .exceptions import ValidationError
 from .model_core import ModelKind, ObservedData
 
 PERTURBATION_SLACK = 1e-12
-GRADIENT_RTOL = 1e-5
+AGREEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,16 @@ def project_columns_oracle(data: ObservedData, alpha, b, sigma0=None) -> np.ndar
     normal = graph_map.T @ weighted
     # column i of the right-hand side holds column i's own normal equations
     return np.linalg.solve(normal, weighted.T @ shifted)
+
+
+def agreement_limit(u1_hat, tol: float = AGREEMENT_TOL) -> float:
+    """Largest passing oracle/estimator mean deviation: ``tol`` relative to the means."""
+    return tol * max(1.0, float(np.max(np.abs(u1_hat))))
+
+
+def stationarity_limit(glse_objective: float) -> float:
+    """Largest passing gradient entry: 1e-5 relative to the GLSE objective."""
+    return 1e-5 * max(1.0, glse_objective)
 
 
 def _olse_objective(data: ObservedData, alpha, b, u1) -> float:
@@ -133,7 +143,7 @@ def perturbation_probe(
     scale: float,
     seed: int,
     *,
-    tol: float = 1e-9,
+    tol: float = AGREEMENT_TOL,
     grad_step: float = 1e-6,
     sigma0=None,
 ) -> OracleReport:
@@ -205,10 +215,9 @@ def perturbation_probe(
     gradient_max_abs = float(np.max(np.abs(gradient)))
     glse_value = _glse_objective(view_data, alpha, b)
 
-    deviation_limit = tol * max(1.0, float(np.max(np.abs(fit_result.u1_hat))))
     passed = (
-        max_abs_deviation <= deviation_limit
-        and gradient_max_abs <= GRADIENT_RTOL * max(1.0, glse_value)
+        max_abs_deviation <= agreement_limit(fit_result.u1_hat, tol)
+        and gradient_max_abs <= stationarity_limit(glse_value)
         and violations == 0
         and legacy_objective_excess >= -PERTURBATION_SLACK
     )

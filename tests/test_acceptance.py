@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, at pinned tolerances.
 
+The invariants' limits come from ``eivreg.invariants``, as for ``eivreg verify``.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.
 """
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import eivreg as ev
-from eivreg import io_cli
+from eivreg import invariants, io_cli
 from eivreg.model_core import EigenStructure
 
 INTERCEPT = ev.ModelKind.INTERCEPT
@@ -63,17 +65,10 @@ def test_criterion_1_correction_identity_suite():
     start = time.perf_counter()
     route_ok = True
     identity_ok = True
-    for index in range(INSTANCES):
-        truth = ev.random_truth(SUITE_SEED, index, INTERCEPT)
-        data = ev.generate_dataset(truth)
-        spec = ev.ModelSpec(kind=INTERCEPT)
-        result = ev.fit(data, spec)
-        projected = ev.estimate_u1_projection(data, result.alpha_hat, result.b_hat)
-        x_scale = max(1.0, float(np.max(np.abs(data.stacked()))))
-        route_ok &= float(np.max(np.abs(projected - result.u1_hat))) <= 1e-9 * x_scale
-        legacy = ev.legacy_means(data, spec)
-        shift = np.broadcast_to(data.x1.mean(axis=1, keepdims=True), data.x1.shape)
-        identity_ok &= float(np.max(np.abs((result.u1_hat - legacy) - shift))) <= 1e-12
+    for _, data in make_instances(SUITE_SEED, INSTANCES, INTERCEPT):
+        result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
+        route_ok &= invariants.mean_route_equivalence(data, result) <= 1.0
+        identity_ok &= invariants.mean_shift(data, result) <= 1.0
     elapsed = time.perf_counter() - start
     report(1, "correction identity suite",
            route_ok and identity_ok and elapsed < 5.0)
@@ -82,9 +77,7 @@ def test_criterion_1_correction_identity_suite():
 def test_criterion_2_oracle_equivalence(intercept_suite):
     identity_ok = True
     for _, data, result in intercept_suite:
-        oracle = ev.project_columns_oracle(data, result.alpha_hat, result.b_hat)
-        scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
-        identity_ok &= float(np.max(np.abs(oracle - result.u1_hat))) <= 1e-9 * scale
+        identity_ok &= invariants.oracle_agreement(data, result) <= 1.0
 
     weighted_ok = True
     rng = np.random.default_rng(SIGMA0_SEED)
@@ -97,9 +90,7 @@ def test_criterion_2_oracle_equivalence(intercept_suite):
         )
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        oracle = ev.project_columns_oracle(data, result.alpha_hat, result.b_hat, sigma0)
-        scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
-        weighted_ok &= float(np.max(np.abs(oracle - result.u1_hat))) <= 1e-8 * scale
+        weighted_ok &= invariants.oracle_agreement(data, result, sigma0) <= 1.0
 
     report(2, "oracle equivalence", identity_ok and weighted_ok)
 
@@ -130,10 +121,8 @@ def test_criterion_3_optimality(intercept_suite):
 def test_criterion_4_glse_stationarity(intercept_suite):
     ok = True
     for _, data, result in intercept_suite:
-        if result.diagnostics.degenerate:
-            continue
-        gradient = ev.glse_gradient_check(data, result.alpha_hat, result.b_hat, step=1e-6)
-        ok &= float(np.max(np.abs(gradient))) <= 1e-5 * max(1.0, result.glse_objective)
+        if not result.eigenstructure.degenerate:
+            ok &= invariants.glse_stationarity(data, result) <= 1.0
     report(4, "glse stationarity", ok)
 
 
@@ -154,11 +143,8 @@ def test_criterion_5_golden_instance():
 
 def test_criterion_6_no_intercept_coincidence(no_intercept_suite):
     ok = True
-    for _, data, _ in no_intercept_suite:
-        es = ev.signal_eigenstructure(ev.scatter_matrix(data, NO_INTERCEPT), data.p)
-        corrected = ev.estimate_u1_corrected(data, es, NO_INTERCEPT)
-        legacy = ev.legacy_u1(data, es, NO_INTERCEPT)
-        ok &= float(np.max(np.abs(corrected - legacy))) <= 1e-12
+    for _, data, result in no_intercept_suite:
+        ok &= invariants.mean_shift(data, result) <= 1.0
     report(6, "no-intercept coincidence", ok)
 
 
@@ -197,17 +183,12 @@ def test_criterion_8_consistency_trend():
 def test_criterion_9_structural_identities(intercept_suite, no_intercept_suite):
     ok = True
     rotation_rng = np.random.default_rng(909)
-    for kind, suite in ((INTERCEPT, intercept_suite), (NO_INTERCEPT, no_intercept_suite)):
+    for suite in (intercept_suite, no_intercept_suite):
         for _, data, result in suite:
-            es = ev.signal_eigenstructure(ev.scatter_matrix(data, kind), data.p)
+            es = result.eigenstructure
             block = es.g11.T @ es.g11 + es.g21.T @ es.g21 - np.eye(data.p)
             ok &= float(np.max(np.abs(block))) <= 1e-10
-
-            gram = result.b_hat.T @ result.b_hat
-            inverse_g11 = np.linalg.solve(es.g11, np.eye(data.p))
-            identity_form = inverse_g11.T @ inverse_g11 - np.eye(data.p)
-            scale = max(1.0, float(np.max(np.abs(gram))))
-            ok &= float(np.max(np.abs(gram - identity_form))) <= 1e-9 * scale
+            ok &= invariants.slope_gram(data, result) <= 1.0
 
             o, _ = np.linalg.qr(rotation_rng.normal(size=(data.p, data.p)))
             rotated = es.g.copy()

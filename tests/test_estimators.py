@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivreg as ev
+from eivreg import invariants
 from eivreg.model_core import EigenStructure
 
 INTERCEPT = ev.ModelKind.INTERCEPT
@@ -103,11 +105,7 @@ def test_u1_corrected_no_intercept_recovers_collinear():
 
 def test_corrected_minus_legacy_is_mean_shift():
     _, data = noisy_instance(seed=1, index=4)
-    es = ev.signal_eigenstructure(ev.scatter_matrix(data, INTERCEPT), data.p)
-    corrected = ev.estimate_u1_corrected(data, es, INTERCEPT)
-    legacy = ev.legacy_u1(data, es, INTERCEPT)
-    shift = np.broadcast_to(data.x1.mean(axis=1, keepdims=True), data.x1.shape)
-    np.testing.assert_allclose(corrected - legacy, shift, atol=1e-12, rtol=0)
+    assert invariants.mean_shift(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
 
 
 def test_u1_projection_golden():
@@ -126,6 +124,7 @@ def test_projection_equals_corrected(kind):
     for index in range(10):
         _, data = noisy_instance(seed=77, index=index, kind=kind)
         result = ev.fit(data, ev.ModelSpec(kind=kind))
+        assert invariants.mean_route_equivalence(data, result) <= 1.0
         projected = ev.estimate_u1_projection(data, result.alpha_hat, result.b_hat)
         scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
         np.testing.assert_allclose(projected, result.u1_hat, atol=1e-9 * scale, rtol=0)
@@ -147,10 +146,8 @@ def test_legacy_correct_without_intercept():
 def test_no_intercept_corrected_and_legacy_coincide():
     for index in range(10):
         _, data = noisy_instance(seed=13, index=index, kind=NO_INTERCEPT)
-        es = ev.signal_eigenstructure(ev.scatter_matrix(data, NO_INTERCEPT), data.p)
-        corrected = ev.estimate_u1_corrected(data, es, NO_INTERCEPT)
-        legacy = ev.legacy_u1(data, es, NO_INTERCEPT)
-        np.testing.assert_allclose(corrected, legacy, atol=1e-12, rtol=0)
+        result = ev.fit(data, ev.ModelSpec(kind=NO_INTERCEPT))
+        assert invariants.mean_shift(data, result) <= 1.0
 
 
 def test_legacy_means_routes_like_fit():
@@ -243,7 +240,7 @@ def test_fit_golden_intercept():
     np.testing.assert_allclose(result.u1_hat, [[0.0, 1.0, 2.0]], atol=1e-10)
     assert result.olse_objective == pytest.approx(0.0, abs=1e-10)
     assert result.kind is INTERCEPT
-    assert not result.diagnostics.degenerate
+    assert not result.eigenstructure.degenerate
 
 
 def test_fit_golden_no_intercept():
@@ -270,6 +267,8 @@ def test_fit_identity_sigma0_matches_plain_path():
     np.testing.assert_allclose(white.u1_hat, plain.u1_hat, atol=1e-10)
     assert white.olse_objective == pytest.approx(plain.olse_objective, abs=1e-10)
     assert white.glse_objective == pytest.approx(plain.glse_objective, abs=1e-10)
+    with pytest.raises(ev.ValidationError):  # the invariants hold without a shape only
+        invariants.check_fit(data, ev.ModelSpec(INTERCEPT, np.eye(data.p + data.r)), white)
 
 
 def random_spd(rng, m, lo=0.5, hi=3.0):
@@ -328,8 +327,7 @@ def test_olse_minimality_under_mean_perturbations():
 def test_glse_stationarity_at_fit():
     _, data = noisy_instance(seed=23, index=7)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    gradient = ev.glse_gradient_check(data, result.alpha_hat, result.b_hat, step=1e-6)
-    assert np.max(np.abs(gradient)) <= 1e-5 * max(1.0, result.glse_objective)
+    assert invariants.glse_stationarity(data, result) <= 1.0
 
 
 def test_u1_corrected_invariant_to_basis_rotation():
@@ -381,20 +379,14 @@ def test_fit_is_equivariant_across_scales(exponent, kind):
         np.testing.assert_allclose(getattr(scaled, name), expected, rtol=1e-9, atol=1e-12 * s)
     for name in ("olse_objective", "glse_objective"):
         assert getattr(scaled, name) == pytest.approx(s * s * getattr(base, name), rel=1e-9)
-    assert scaled.diagnostics.degenerate == base.diagnostics.degenerate
+    assert scaled.eigenstructure.degenerate == base.eigenstructure.degenerate
     assert scaled_warnings == base_warnings
 
 
 def test_slope_gram_identity():
     for index in range(10):
         _, data = noisy_instance(seed=67, index=index)
-        es = ev.signal_eigenstructure(ev.scatter_matrix(data, INTERCEPT), data.p)
-        b = ev.estimate_b(es)
-        gram = b.T @ b
-        inverse_g11 = np.linalg.solve(es.g11, np.eye(data.p))
-        identity_form = inverse_g11.T @ inverse_g11 - np.eye(data.p)
-        scale = max(1.0, float(np.max(np.abs(gram))))
-        np.testing.assert_allclose(gram, identity_form, atol=1e-9 * scale, rtol=0)
+        assert invariants.slope_gram(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
 
 
 def test_sigma0_roots_invert_each_other():
@@ -407,7 +399,29 @@ def test_sigma0_roots_invert_each_other():
         ev.sigma0_symmetric_roots(np.diag([1.0, -1.0]))
 
 
-def test_whiten_shapes_and_identity():
-    _, data = noisy_instance(seed=71, index=0)
-    white = ev.whiten(data, np.eye(data.p + data.r))
-    np.testing.assert_allclose(white.stacked(), data.stacked(), atol=1e-12)
+def legacy_as_fit(data, result, shift=0.0):
+    legacy = ev.legacy_u1(data, result.eigenstructure, result.kind)
+    return dataclasses.replace(result, u1_hat=legacy + shift)
+
+
+def perturbed_slope(data, result):
+    return dataclasses.replace(result, b_hat=result.b_hat + 1e-3)
+
+
+def shifted_legacy(data, result):
+    return legacy_as_fit(data, result, data.x1.mean(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("kind, wrong, checks", [
+    (INTERCEPT, legacy_as_fit, ("mean_route_equivalence", "oracle_agreement", "mean_shift")),
+    (INTERCEPT, perturbed_slope, ("slope_gram", "glse_stationarity")),
+    (NO_INTERCEPT, shifted_legacy, ("mean_shift",)),
+], ids=["legacy-means", "perturbed-slope", "shifted-legacy-no-intercept"])
+def test_invariant_rejects_a_known_wrong_fit(kind, wrong, checks):
+    """Each invariant passes the fit and fails a wrong one, so a check the
+    code and the tests share cannot go vacuous unnoticed."""
+    _, data = noisy_instance(seed=31, kind=kind)
+    result = ev.fit(data, ev.ModelSpec(kind=kind))
+    for name in checks:
+        check = getattr(invariants, name)
+        assert check(data, result) <= 1.0 < check(data, wrong(data, result)), name

@@ -519,6 +519,16 @@ def test_cli_simulate_bad_grid_exits_1(capsys):
     assert code == 1
 
 
+def test_cli_simulate_negative_seed_exits_1(capsys):
+    code, out, err = run_cli(capsys, [
+        "simulate", "--p", "1", "--r", "1", "--sigma", "0.1",
+        "--n-grid", "20,40", "--reps", "10", "--seed", "-1", "--intercept",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 def test_cli_verify_passes_and_is_deterministic(capsys):
     argv = ["verify", "--seed", "1", "--instances", "12"]
     code1, out1, _ = run_cli(capsys, argv)

@@ -213,6 +213,4 @@ def test_from_decomposition_blocks():
     es = EigenStructure.from_decomposition(np.diag([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0], g, p=2)
     assert es.g11.shape == (2, 2)
     assert es.g21.shape == (1, 2)
-    assert es.g12.shape == (2, 1)
-    assert es.g22.shape == (1, 1)
     assert es.g11_condition == pytest.approx(1.0)

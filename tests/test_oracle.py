@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import eivreg as ev
-from eivreg import oracle
+from eivreg import invariants, oracle
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -43,9 +43,7 @@ def test_oracle_matches_projection_route():
     for index in range(8):
         _, data = noisy_instance(seed=19, index=index)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-        oracle = ev.project_columns_oracle(data, result.alpha_hat, result.b_hat)
-        scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
-        np.testing.assert_allclose(oracle, result.u1_hat, atol=1e-9 * scale, rtol=0)
+        assert invariants.oracle_agreement(data, result) <= 1.0
 
 
 def test_oracle_sigma0_matches_generalized_fit():
@@ -55,9 +53,7 @@ def test_oracle_sigma0_matches_generalized_fit():
         truth = ev.random_truth(88, index, INTERCEPT, p=2, r=2, sigma0=sigma0)
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        oracle = ev.project_columns_oracle(data, result.alpha_hat, result.b_hat, sigma0)
-        scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
-        np.testing.assert_allclose(oracle, result.u1_hat, atol=1e-8 * scale, rtol=0)
+        assert invariants.oracle_agreement(data, result, sigma0) <= 1.0
 
 
 def per_column_oracle(data, alpha, b, sigma0=None):
@@ -113,7 +109,7 @@ def test_gradient_small_at_fit():
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
     gradient = ev.glse_gradient_check(data, result.alpha_hat, result.b_hat)
     assert gradient.shape == (data.r + data.r * data.p,)
-    assert np.max(np.abs(gradient)) <= 1e-5 * max(1.0, result.glse_objective)
+    assert invariants.glse_stationarity(data, result) <= 1.0
 
 
 def test_gradient_positive_off_optimum():
