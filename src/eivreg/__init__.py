@@ -1,6 +1,6 @@
 """Closed-form estimation for the multivariate errors-in-variables regression
 model: slope, intercept, and mean vectors, with the corrected least-squares
-mean-vector estimator, a whitening path for known error-covariance shapes,
+mean-vector estimator, known error-covariance shapes on the same closed forms,
 an independent numerical certification layer, and Monte Carlo tooling.
 """
 
@@ -18,7 +18,6 @@ from .estimators import (
     legacy_means,
     legacy_u1,
     residual_matrix,
-    residual_scale,
     sigma0_symmetric_roots,
 )
 from .exceptions import (
@@ -91,7 +90,6 @@ __all__ = [
     "project_columns_oracle",
     "random_truth",
     "residual_matrix",
-    "residual_scale",
     "scatter_matrix",
     "sigma0_symmetric_roots",
     "signal_eigenstructure",

@@ -37,13 +37,13 @@ class FitResult:
     """Complete fit: slope, intercept, fitted mean matrices, and objectives.
 
     ``u2_hat`` always equals ``alpha_hat 1' + b_hat u1_hat`` as computed, and
-    ``alpha_hat`` is exactly zero for the no-intercept model. For a fit under
-    a known covariance shape the objectives and the residual scale are
-    reported in whitened coordinates; the parameter and mean estimates are in
-    original coordinates. ``eigenstructure`` is the decomposition of the
-    scatter matrix the fit was computed from (of the whitened observations
-    under a known shape); reports read its ``eigengap``, ``g11_condition``
-    and ``degenerate`` fields.
+    ``alpha_hat`` is exactly zero for the no-intercept model. All estimates
+    are in the coordinates of the data. ``sigma0`` is the covariance shape
+    the fit was made under (``None`` for the identity); the objectives and
+    the residual scale are weighted by its inverse. ``eigenstructure`` is the
+    decomposition of the scatter matrix the fit was computed from (whitened
+    as sigma0^{-1/2} W sigma0^{-1/2} under a known shape); reports read its
+    ``eigengap``, ``g11_condition`` and ``degenerate`` fields.
     """
 
     kind: ModelKind
@@ -55,6 +55,7 @@ class FitResult:
     glse_objective: float
     residual_scale: float
     eigenstructure: EigenStructure
+    sigma0: np.ndarray | None
 
 
 def estimate_b(es: EigenStructure) -> np.ndarray:
@@ -82,15 +83,17 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     return data.x2.mean(axis=1) - b_hat @ data.x1.mean(axis=1)
 
 
-def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
+def estimate_u1_corrected(
+    data: ObservedData, es: EigenStructure, kind: ModelKind, roots=None
+) -> np.ndarray:
     """Least-squares estimate of the predictor mean vectors, eigenvector route.
 
-    For the intercept model this is the centered eigenvector-basis projection
-    plus the mean-shift term (the per-row predictor means), the term whose
-    omission makes the legacy form incorrect. For the no-intercept model no
-    centering or shift applies and the legacy form is already correct.
+    For the intercept model this is ``legacy_u1`` plus the mean-shift term
+    (the per-row predictor means), the term whose omission makes the legacy
+    form incorrect. For the no-intercept model no centering or shift applies
+    and the legacy form is already correct.
     """
-    legacy = legacy_u1(data, es, kind)
+    legacy = legacy_u1(data, es, kind, roots)
     if kind is ModelKind.NO_INTERCEPT:
         return legacy
     return data.x1.mean(axis=1, keepdims=True) + legacy
@@ -109,18 +112,31 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
     return np.linalg.solve(np.eye(data.p) + b_hat.T @ b_hat, rhs)
 
 
-def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
+def legacy_u1(
+    data: ObservedData, es: EigenStructure, kind: ModelKind, roots=None
+) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
-    g11 (g11' X1c + g21' X2c), with the columns centered for the intercept model.
+    top (left1 X1c + left2 X2c), with the columns centered for the intercept
+    model. For the leading p eigenvectors G_s of ``es``, top is the predictor
+    block of sigma0^{1/2} G_s and [left1 left2] = G_s' sigma0^{-1/2}, where
+    ``roots`` = ``sigma0_symmetric_roots(sigma0)`` when ``es`` decomposes the
+    whitened scatter matrix; without roots they are g11 and [g11' g21'].
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
     no-intercept model it coincides with the corrected estimate. Retained so
     the defect can be demonstrated and reported side by side.
     """
+    if roots is None:
+        top, left1, left2 = es.g11, es.g11.T, es.g21.T
+    else:
+        signal = es.g[:, : data.p]
+        top = (roots[0] @ signal)[: data.p]
+        left = signal.T @ roots[1]
+        left1, left2 = left[:, : data.p], left[:, data.p :]
     x1c = center_columns(data.x1, kind)
     x2c = center_columns(data.x2, kind)
-    return es.g11 @ (es.g11.T @ x1c) + es.g11 @ (es.g21.T @ x2c)
+    return top @ (left1 @ x1c) + top @ (left2 @ x2c)
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
@@ -139,8 +155,9 @@ def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:
     return np.vstack([data.x1 - u1, data.x2 - alpha[:, None] - b @ u1])
 
 
-def glse_residual(data: ObservedData, alpha, b) -> np.ndarray:
-    """Normalized response residual: (I + BB')^{-1/2} (X2 - alpha 1' - B X1).
+def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
+    """Normalized response residual: (C sigma0 C')^{-1/2} (X2 - alpha 1' - B X1)
+    with C = [-B I], which is (I + BB')^{-1/2} under the identity shape.
 
     Uses the symmetric positive-definite square root; the Frobenius norm of
     the result, the only quantity consumed downstream, is invariant to the
@@ -148,22 +165,13 @@ def glse_residual(data: ObservedData, alpha, b) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    _, normalizer = sigma0_symmetric_roots(np.eye(data.r) + b @ b.T)
+    if sigma0 is None:
+        spread = np.eye(data.r) + b @ b.T
+    else:
+        c = np.hstack([-b, np.eye(data.r)])
+        spread = c @ sigma0 @ c.T
+    _, normalizer = sigma0_symmetric_roots(spread)
     return normalizer @ (data.x2 - alpha[:, None] - b @ data.x1)
-
-
-def residual_scale(r_matrix, p: int, r: int, n: int) -> float:
-    """Squared Frobenius norm of the residual per entry.
-
-    Ad hoc scale diagnostic only; it is not a derived estimator of the error
-    variance and is labeled accordingly in reports.
-    """
-    r_matrix = np.asarray(r_matrix, dtype=float)
-    if r_matrix.shape != (p + r, n):
-        raise ValidationError(
-            f"residual matrix shape {r_matrix.shape} does not match ({p + r}, {n})"
-        )
-    return float(np.sum(r_matrix * r_matrix)) / (n * (p + r))
 
 
 def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +190,6 @@ def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
     root = (v * np.sqrt(lam)) @ v.T
     inv_root = (v / np.sqrt(lam)) @ v.T
     return root, inv_root
-
-
-def _whitening(data: ObservedData, sigma0) -> tuple[np.ndarray, ObservedData]:
-    """The symmetric root of the covariance shape, which maps whitened
-    coordinates back, and the observations whitened by its inverse."""
-    root, inv_root = sigma0_symmetric_roots(sigma0)
-    xw = inv_root @ data.stacked()
-    return root, ObservedData(x1=xw[: data.p], x2=xw[data.p :])
 
 
 def _graph_slope(m: np.ndarray, p: int) -> np.ndarray:
@@ -223,86 +223,74 @@ def _validate_for_fit(data: ObservedData, spec: ModelSpec) -> None:
 def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     """Fit the errors-in-variables model and return all estimates.
 
-    With no covariance shape: center, form the scatter matrix, take its
-    eigenstructure, and evaluate the closed forms. With a known shape: whiten
-    the observations by its inverse symmetric root, run the identity-shape
-    machinery on the whitened data, map the signal basis and the fitted means
-    back to the original coordinates, and recompute intercept and response
-    means there. Objectives are reported in whitened coordinates in that case.
+    Center, form the scatter matrix W, take its eigenstructure, and evaluate
+    the closed forms. A known covariance shape enters only through
+    (p+r)-by-(p+r) matrices: the eigenstructure is that of
+    sigma0^{-1/2} W sigma0^{-1/2}, and its signal basis is mapped back
+    through sigma0^{1/2}. The observations are never whitened.
     """
     _validate_for_fit(data, spec)
-    if spec.sigma0 is None:
-        return _fit_identity(data, spec.kind)
-    return _fit_whitened(data, spec.kind, spec.sigma0)
+    if spec.sigma0 is not None:
+        return _fit_whitened(data, spec.kind, spec.sigma0)
+    es = signal_eigenstructure(scatter_matrix(data, spec.kind), data.p)
+    return _assemble(data, spec.kind, es)
 
 
-def _assemble(data, kind, es, b_hat, alpha_hat, u1_hat, objective_data, objective_alpha,
-              objective_b, objective_u1) -> FitResult:
+def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> FitResult:
+    roots = sigma0_symmetric_roots(sigma0)
+    w = roots[1] @ scatter_matrix(data, kind) @ roots[1].T
+    return _assemble(data, kind, signal_eigenstructure(w, data.p), sigma0, roots)
+
+
+def _assemble(data, kind, es, sigma0=None, roots=None) -> FitResult:
+    """The closed forms on the signal basis of ``es``; under a known shape
+    ``roots`` are sigma0's (root, inverse root), as for ``legacy_u1``."""
+    if roots is None:
+        b_hat = estimate_b(es)
+    else:
+        b_hat = _graph_slope(roots[0] @ es.g[:, : data.p], data.p)
+    alpha_hat = estimate_alpha(b_hat, data, kind)
+    u1_hat = estimate_u1_corrected(data, es, kind, roots)
     u2_hat = estimate_u2(u1_hat, alpha_hat, b_hat)
-    r_mat = residual_matrix(objective_data, objective_alpha, objective_b, objective_u1)
-    q_mat = glse_residual(objective_data, objective_alpha, objective_b)
+    r_mat = residual_matrix(data, alpha_hat, b_hat, u1_hat)
+    if roots is None:
+        olse = float(np.sum(r_mat * r_mat))
+    else:
+        # |sigma0^{-1/2} R|^2 through the (p+r)-by-(p+r) Gram matrix of R
+        olse = float(np.trace(roots[1] @ (r_mat @ r_mat.T) @ roots[1].T))
+    q_mat = glse_residual(data, alpha_hat, b_hat, sigma0)
     return FitResult(
         kind=kind,
         b_hat=b_hat,
         alpha_hat=alpha_hat,
         u1_hat=u1_hat,
         u2_hat=u2_hat,
-        olse_objective=float(np.sum(r_mat * r_mat)),
+        olse_objective=olse,
         glse_objective=float(np.sum(q_mat * q_mat)),
-        residual_scale=residual_scale(r_mat, data.p, data.r, data.n),
+        # ad hoc scale diagnostic, not a derived estimator of the error variance
+        residual_scale=olse / (data.n * (data.p + data.r)),
         eigenstructure=es,
+        sigma0=sigma0,
     )
-
-
-def _fit_identity(data: ObservedData, kind: ModelKind) -> FitResult:
-    w = scatter_matrix(data, kind)
-    es = signal_eigenstructure(w, data.p)
-    b_hat = estimate_b(es)
-    alpha_hat = estimate_alpha(b_hat, data, kind)
-    u1_hat = estimate_u1_corrected(data, es, kind)
-    return _assemble(data, kind, es, b_hat, alpha_hat, u1_hat,
-                     data, alpha_hat, b_hat, u1_hat)
-
-
-def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> FitResult:
-    root, wdata = _whitening(data, sigma0)
-    w = scatter_matrix(wdata, kind)
-    es = signal_eigenstructure(w, data.p)
-    b_white = estimate_b(es)
-    alpha_white = estimate_alpha(b_white, wdata, kind)
-    u1_white = estimate_u1_corrected(wdata, es, kind)
-    u2_white = estimate_u2(u1_white, alpha_white, b_white)
-
-    # signal basis and fitted means back in original coordinates
-    b_hat = _graph_slope(root @ es.g[:, : data.p], data.p)
-    alpha_hat = estimate_alpha(b_hat, data, kind)
-    u1_hat = (root @ np.vstack([u1_white, u2_white]))[: data.p]
-    return _assemble(data, kind, es, b_hat, alpha_hat, u1_hat,
-                     wdata, alpha_white, b_white, u1_white)
 
 
 def legacy_means(
     data: ObservedData, spec: ModelSpec, result: FitResult | None = None
 ) -> np.ndarray:
-    """Predictor mean vectors per the legacy formula, routed like ``fit``.
+    """Predictor mean vectors per the legacy formula (``legacy_u1``).
 
-    The legacy eigenvector expression is evaluated on the eigenstructure of
-    ``result``, the fit of ``data`` under ``spec``; without one, the data is
-    fitted first. Identity shape: the expression on the raw data. Known
-    shape: the same expression in whitened coordinates, mapped back through
-    the fitted whitened graph. Incorrect for the intercept model either way;
-    provided so reports can show the defect next to the corrected fit.
+    Evaluated on the eigenstructure of ``result``, the fit of ``data`` under
+    ``spec``, without refitting or whitening; without ``result`` the data is
+    fitted first. Corrected minus legacy means is thus exactly the per-row
+    predictor means (intercept model) or zero (no-intercept model) under
+    every covariance shape. Raises ``ValidationError`` if ``result`` is a fit
+    under another model kind or covariance shape, or of another data size.
     """
     if result is None:
         result = fit(data, spec)
-    elif result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape:
+    # array_equal is also True for None against None, False for None against a matrix
+    elif (result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape
+          or not np.array_equal(result.sigma0, spec.sigma0)):
         raise ValidationError("result is not a fit of this data under this model")
-    es = result.eigenstructure
-    if spec.sigma0 is None:
-        return legacy_u1(data, es, spec.kind)
-    root, wdata = _whitening(data, spec.sigma0)
-    u1_white = legacy_u1(wdata, es, spec.kind)
-    b_white = estimate_b(es)
-    alpha_white = estimate_alpha(b_white, wdata, spec.kind)
-    u2_white = estimate_u2(u1_white, alpha_white, b_white)
-    return (root @ np.vstack([u1_white, u2_white]))[: data.p]
+    roots = None if spec.sigma0 is None else sigma0_symmetric_roots(spec.sigma0)
+    return legacy_u1(data, result.eigenstructure, spec.kind, roots)

@@ -174,17 +174,6 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
     return ObservedData(x1=values[:, :p].T, x2=values[:, p:].T)
 
 
-def write_dataset(data: ObservedData, path) -> None:
-    """Write a dataset in the format ``read_dataset`` expects, losslessly."""
-    header = [f"x1_{k + 1}" for k in range(data.p)] + [f"x2_{k + 1}" for k in range(data.r)]
-    stacked = data.stacked()
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(data.n):
-            writer.writerow([repr(float(v)) for v in stacked[:, i]])
-
-
 def read_sigma0(path, size: int) -> np.ndarray:
     """Read a covariance shape as a plain numeric CSV square matrix (no header).
 

@@ -37,11 +37,9 @@ def dense_sigma0(m):
 
 
 @pytest.mark.parametrize("with_sigma0", [False, True])
-def test_cli_fit_with_legacy_means_decomposes_once(tmp_path, capsys, calls, with_sigma0):
+def test_cli_fit_with_legacy_means_decomposes_once(tmp_path, dataset_csv, calls, with_sigma0):
     data = ev.generate_dataset(ev.random_truth(5, 0, INTERCEPT, p=3, r=2, n=40))
-    path = tmp_path / "data.csv"
-    io_cli.write_dataset(data, path)
-    argv = ["fit", "--input", str(path), "--intercept", "--emit-means",
+    argv = ["fit", "--input", dataset_csv(data), "--intercept", "--emit-means",
             "--legacy-means", "--verify", "--output", str(tmp_path / "report.json")]
     if with_sigma0:
         np.savetxt(tmp_path / "s0.csv", dense_sigma0(5), delimiter=",")
@@ -86,3 +84,9 @@ def test_legacy_means_rejects_a_fit_of_other_data():
         ev.legacy_means(data, spec, ev.fit(other, spec))
     with pytest.raises(ev.ValidationError):
         ev.legacy_means(data, ev.ModelSpec(kind=NO_INTERCEPT), ev.fit(data, spec))
+    # a fit under another covariance shape, in either direction
+    dense = ev.ModelSpec(kind=INTERCEPT, sigma0=dense_sigma0(3))
+    with pytest.raises(ev.ValidationError):
+        ev.legacy_means(data, dense, ev.fit(data, spec))
+    with pytest.raises(ev.ValidationError):
+        ev.legacy_means(data, spec, ev.fit(data, dense))

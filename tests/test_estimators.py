@@ -223,10 +223,11 @@ def test_residual_pair_consistency():
 
 
 def test_residual_scale_examples():
-    assert ev.residual_scale(np.zeros((3, 4)), 2, 1, 4) == 0.0
-    assert ev.residual_scale(np.ones((3, 5)), 1, 2, 5) == pytest.approx(1.0)
     result = ev.fit(dsb(), ev.ModelSpec(kind=INTERCEPT))
     assert result.residual_scale == pytest.approx(0.0, abs=1e-12)
+    _, data, spec = dense_sigma0_instance(INTERCEPT, 15)
+    result = ev.fit(data, spec)
+    assert result.residual_scale == result.olse_objective / (data.n * (data.p + data.r))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,57 @@ def test_fit_sigma0_noise_free_recovery(kind):
     np.testing.assert_allclose(result.b_hat, truth.b, atol=1e-8)
     np.testing.assert_allclose(result.alpha_hat, truth.alpha, atol=1e-8)
     np.testing.assert_allclose(result.u1_hat, truth.u1, atol=1e-8)
+
+
+def dense_sigma0_instance(kind, seed):
+    rng = np.random.default_rng(seed)
+    sigma0 = random_spd(rng, 5)
+    data = ev.generate_dataset(ev.random_truth(seed, 0, kind, p=3, r=2, n=200, sigma0=sigma0))
+    return rng, data, ev.ModelSpec(kind=kind, sigma0=sigma0)
+
+
+def assert_close(actual, expected, scale):
+    assert float(np.max(np.abs(np.asarray(actual) - expected))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_sigma0_is_equivariant_under_a_block_diagonal_change_of_units(kind):
+    rng, data, spec = dense_sigma0_instance(kind, 71)
+    t1 = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
+    t2 = np.eye(2) + 0.2 * rng.normal(size=(2, 2))
+    t = np.block([[t1, np.zeros((3, 2))], [np.zeros((2, 3)), t2]])
+    moved_data = ev.ObservedData(x1=t1 @ data.x1, x2=t2 @ data.x2)
+    moved_spec = ev.ModelSpec(kind=kind, sigma0=t @ spec.sigma0 @ t.T)
+    base = ev.fit(data, spec)
+    moved = ev.fit(moved_data, moved_spec)
+    scale = float(np.max(np.abs(moved_data.stacked())))
+    expected_b = np.linalg.solve(t1.T, (t2 @ base.b_hat).T).T
+    assert_close(moved.b_hat, expected_b, float(np.max(np.abs(expected_b))))
+    assert_close(moved.alpha_hat, t2 @ base.alpha_hat, scale)
+    assert_close(moved.u1_hat, t1 @ base.u1_hat, scale)
+    assert_close(moved.olse_objective, base.olse_objective, base.olse_objective)
+    assert_close(moved.glse_objective, base.glse_objective, base.glse_objective)
+    assert_close(ev.legacy_means(moved_data, moved_spec, moved),
+                 t1 @ ev.legacy_means(data, spec, base), scale)
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_sigma0_corrected_minus_legacy_is_the_mean_shift(kind):
+    _, data, spec = dense_sigma0_instance(kind, 72)
+    result = ev.fit(data, spec)
+    shift = data.x1.mean(axis=1, keepdims=True) if kind is INTERCEPT else 0.0
+    assert_close(result.u1_hat - ev.legacy_means(data, spec, result), shift,
+                 float(np.max(np.abs(data.stacked()))))
+
+
+def test_fit_sigma0_never_builds_whitened_observations(monkeypatch):
+    _, data, spec = dense_sigma0_instance(INTERCEPT, 73)
+    built = []
+    original = ev.ObservedData.__post_init__
+    monkeypatch.setattr(ev.ObservedData, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    ev.legacy_means(data, spec, ev.fit(data, spec))
+    assert built == []
 
 
 def test_fit_validation_errors():

@@ -61,12 +61,10 @@ def test_read_dataset_needs_two_rows(tmp_path):
         io_cli.read_dataset(write(tmp_path, "short.csv", "x1,x2\n0,1\n"), p=1, r=1)
 
 
-def test_dataset_roundtrip_is_lossless(tmp_path):
+def test_dataset_roundtrip_is_lossless(dataset_csv):
     truth = ev.random_truth(3, 1, INTERCEPT, p=2, r=2, n=15)
     data = ev.generate_dataset(truth)
-    path = tmp_path / "roundtrip.csv"
-    io_cli.write_dataset(data, path)
-    back = io_cli.read_dataset(str(path))
+    back = io_cli.read_dataset(dataset_csv(data))
     np.testing.assert_array_equal(back.x1, data.x1)
     np.testing.assert_array_equal(back.x2, data.x2)
 
@@ -338,12 +336,10 @@ def test_cli_fit_no_intercept(tmp_path, capsys):
     assert report["estimates"]["alpha_hat"] == [0.0]
 
 
-def test_cli_fit_verify_passes(tmp_path, capsys):
+def test_cli_fit_verify_passes(dataset_csv, capsys):
     data = ev.generate_dataset(ev.random_truth(11, 0, INTERCEPT))
-    path = tmp_path / "noisy.csv"
-    io_cli.write_dataset(data, path)
     code, out, _ = run_cli(capsys, [
-        "fit", "--input", str(path), "--intercept", "--verify",
+        "fit", "--input", dataset_csv(data), "--intercept", "--verify",
     ])
     assert code == 0
     report = json.loads(out)
@@ -351,13 +347,11 @@ def test_cli_fit_verify_passes(tmp_path, capsys):
     assert report["oracle"]["perturbation_violations"] == 0
 
 
-def test_cli_fit_verify_failure_exits_3(tmp_path, capsys):
+def test_cli_fit_verify_failure_exits_3(dataset_csv, capsys):
     data = ev.generate_dataset(ev.random_truth(11, 1, INTERCEPT))
-    path = tmp_path / "noisy.csv"
-    io_cli.write_dataset(data, path)
     # an impossibly tight tolerance forces the deviation check to fail
     code, out, _ = run_cli(capsys, [
-        "fit", "--input", str(path), "--intercept", "--verify", "--tol", "1e-300",
+        "fit", "--input", dataset_csv(data), "--intercept", "--verify", "--tol", "1e-300",
     ])
     assert code == 3
     report = json.loads(out)
