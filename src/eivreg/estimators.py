@@ -21,7 +21,6 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, UnidentifiableError, ValidationError
 from .model_core import (
-    G11_CONDITION_LIMIT,
     EigenStructure,
     ModelKind,
     ModelSpec,
@@ -30,6 +29,10 @@ from .model_core import (
     scatter_matrix,
     signal_eigenstructure,
 )
+
+# Conditioning limit for inverting the predictor block of the signal basis.
+# Beyond this the slope matrix is declared not computable.
+G11_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,16 @@ class FitResult:
 def estimate_b(es: EigenStructure) -> np.ndarray:
     """Slope matrix: response block of the signal basis over its predictor block.
 
-    Computed by solving g11' Z' = g21' rather than inverting g11.
+    Raises ``UnidentifiableError`` when ``g11_condition`` exceeds
+    ``G11_CONDITION_LIMIT``, the one identifiability check for every
+    covariance shape. Solves g11' Z' = g21' rather than inverting g11.
     """
     if es.g11_condition > G11_CONDITION_LIMIT:
         raise UnidentifiableError(
             f"predictor block of the signal basis is too ill-conditioned "
             f"(condition estimate {es.g11_condition:.3e})"
         )
-    try:
-        return np.linalg.solve(es.g11.T, es.g21.T).T
-    except np.linalg.LinAlgError as exc:
-        raise UnidentifiableError("predictor block of the signal basis is singular") from exc
+    return _graph_slope(es.g11, es.g21)
 
 
 def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
@@ -83,9 +85,7 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     return data.x2.mean(axis=1) - b_hat @ data.x1.mean(axis=1)
 
 
-def estimate_u1_corrected(
-    data: ObservedData, es: EigenStructure, kind: ModelKind, roots=None
-) -> np.ndarray:
+def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """Least-squares estimate of the predictor mean vectors, eigenvector route.
 
     For the intercept model this is ``legacy_u1`` plus the mean-shift term
@@ -93,7 +93,7 @@ def estimate_u1_corrected(
     form incorrect. For the no-intercept model no centering or shift applies
     and the legacy form is already correct.
     """
-    legacy = legacy_u1(data, es, kind, roots)
+    legacy = legacy_u1(data, es, kind)
     if kind is ModelKind.NO_INTERCEPT:
         return legacy
     return data.x1.mean(axis=1, keepdims=True) + legacy
@@ -112,31 +112,21 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
     return np.linalg.solve(np.eye(data.p) + b_hat.T @ b_hat, rhs)
 
 
-def legacy_u1(
-    data: ObservedData, es: EigenStructure, kind: ModelKind, roots=None
-) -> np.ndarray:
+def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
-    top (left1 X1c + left2 X2c), with the columns centered for the intercept
-    model. For the leading p eigenvectors G_s of ``es``, top is the predictor
-    block of sigma0^{1/2} G_s and [left1 left2] = G_s' sigma0^{-1/2}, where
-    ``roots`` = ``sigma0_symmetric_roots(sigma0)`` when ``es`` decomposes the
-    whitened scatter matrix; without roots they are g11 and [g11' g21'].
+    g11 (left1 X1c + left2 X2c) with [left1 left2] = ``es.left``, the columns
+    centered for the intercept model. Both factors are read from the signal
+    basis in the coordinates of the data, so one expression serves every
+    covariance shape (g11 and [g11' g21'] under the identity).
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
     no-intercept model it coincides with the corrected estimate. Retained so
     the defect can be demonstrated and reported side by side.
     """
-    if roots is None:
-        top, left1, left2 = es.g11, es.g11.T, es.g21.T
-    else:
-        signal = es.g[:, : data.p]
-        top = (roots[0] @ signal)[: data.p]
-        left = signal.T @ roots[1]
-        left1, left2 = left[:, : data.p], left[:, data.p :]
     x1c = center_columns(data.x1, kind)
     x2c = center_columns(data.x2, kind)
-    return top @ (left1 @ x1c) + top @ (left2 @ x2c)
+    return es.g11 @ (es.left[:, : data.p] @ x1c) + es.g11 @ (es.left[:, data.p :] @ x2c)
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
@@ -192,17 +182,13 @@ def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-def _graph_slope(m: np.ndarray, p: int) -> np.ndarray:
-    """Slope of the graph form of the subspace spanned by the columns of m:
-    bottom block times the inverse of the top block, via a linear solve."""
-    m1 = m[:p]
-    m2 = m[p:]
-    singular_values = np.linalg.svd(m1, compute_uv=False)
-    if singular_values[-1] == 0.0 or singular_values[0] / singular_values[-1] > G11_CONDITION_LIMIT:
-        raise UnidentifiableError(
-            "predictor block of the back-mapped signal basis is numerically singular"
-        )
-    return np.linalg.solve(m1.T, m2.T).T
+def _graph_slope(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Slope of the graph form of a subspace basis: bottom block times the
+    inverse of the top block, via a linear solve."""
+    try:
+        return np.linalg.solve(top.T, bottom.T).T
+    except np.linalg.LinAlgError as exc:
+        raise UnidentifiableError("predictor block of the signal basis is singular") from exc
 
 
 def _validate_for_fit(data: ObservedData, spec: ModelSpec) -> None:
@@ -239,25 +225,22 @@ def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
 def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> FitResult:
     roots = sigma0_symmetric_roots(sigma0)
     w = roots[1] @ scatter_matrix(data, kind) @ roots[1].T
-    return _assemble(data, kind, signal_eigenstructure(w, data.p), sigma0, roots)
+    return _assemble(data, kind, signal_eigenstructure(w, data.p, roots), sigma0)
 
 
-def _assemble(data, kind, es, sigma0=None, roots=None) -> FitResult:
-    """The closed forms on the signal basis of ``es``; under a known shape
-    ``roots`` are sigma0's (root, inverse root), as for ``legacy_u1``."""
-    if roots is None:
-        b_hat = estimate_b(es)
-    else:
-        b_hat = _graph_slope(roots[0] @ es.g[:, : data.p], data.p)
+def _assemble(data, kind, es, sigma0=None) -> FitResult:
+    """The closed forms on the signal basis of ``es``, in data coordinates
+    for every covariance shape."""
+    b_hat = estimate_b(es)
     alpha_hat = estimate_alpha(b_hat, data, kind)
-    u1_hat = estimate_u1_corrected(data, es, kind, roots)
+    u1_hat = estimate_u1_corrected(data, es, kind)
     u2_hat = estimate_u2(u1_hat, alpha_hat, b_hat)
     r_mat = residual_matrix(data, alpha_hat, b_hat, u1_hat)
-    if roots is None:
+    if sigma0 is None:
         olse = float(np.sum(r_mat * r_mat))
     else:
-        # |sigma0^{-1/2} R|^2 through the (p+r)-by-(p+r) Gram matrix of R
-        olse = float(np.trace(roots[1] @ (r_mat @ r_mat.T) @ roots[1].T))
+        # tr(sigma0^{-1} R R') through the (p+r)-by-(p+r) Gram matrix of R
+        olse = float(np.trace(np.linalg.solve(sigma0, r_mat @ r_mat.T)))
     q_mat = glse_residual(data, alpha_hat, b_hat, sigma0)
     return FitResult(
         kind=kind,
@@ -292,5 +275,4 @@ def legacy_means(
     elif (result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape
           or not np.array_equal(result.sigma0, spec.sigma0)):
         raise ValidationError("result is not a fit of this data under this model")
-    roots = None if spec.sigma0 is None else sigma0_symmetric_roots(spec.sigma0)
-    return legacy_u1(data, result.eigenstructure, spec.kind, roots)
+    return legacy_u1(data, result.eigenstructure, spec.kind)

@@ -49,9 +49,9 @@ def slope_gram(data: ObservedData, result: FitResult) -> float:
     return _max_abs(gram - identity_form) / (1e-9 * max(1.0, _max_abs(gram)))
 
 
-def oracle_agreement(data: ObservedData, result: FitResult, sigma0=None) -> float:
-    """Fitted means against the per-column oracle's, weighted by ``sigma0`` if given."""
-    oracle_u1 = oracle.project_columns_oracle(data, result.alpha_hat, result.b_hat, sigma0)
+def oracle_agreement(data: ObservedData, result: FitResult) -> float:
+    """Fitted means against the per-column oracle's, weighted by ``result.sigma0``."""
+    oracle_u1 = oracle.project_columns_oracle(data, result.alpha_hat, result.b_hat, result.sigma0)
     return _max_abs(oracle_u1 - result.u1_hat) / oracle.agreement_limit(result.u1_hat)
 
 

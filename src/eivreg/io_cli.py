@@ -548,7 +548,7 @@ def _cmd_fit(args) -> int:
     if args.verify:
         oracle_report = perturbation_probe(
             data, result, trials=200, scale=1e-3, seed=FIT_VERIFY_SEED,
-            tol=args.tol, sigma0=sigma0,
+            tol=args.tol,
         )
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(

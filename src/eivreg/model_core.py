@@ -15,20 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSubspaceWarning,
-    NotPositiveDefiniteError,
-    UnidentifiableError,
-    ValidationError,
-)
+from .exceptions import DegenerateSubspaceWarning, NotPositiveDefiniteError, ValidationError
 
 # Relative eigengap below which the signal subspace is flagged as degenerate
 # (warning only; computation proceeds).
 DEGENERATE_EIGENGAP_RTOL = 1e-10
-
-# Conditioning limit for inverting the predictor block of the signal basis.
-# Beyond this the slope matrix is declared not computable.
-G11_CONDITION_LIMIT = 1e12
 
 
 class ModelKind(Enum):
@@ -138,15 +129,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Ordered eigendecomposition of the scatter matrix, with block partition.
+    """Ordered eigendecomposition of the scatter matrix, with its signal basis
+    in the coordinates of the data.
 
-    ``w = g @ diag(eigenvalues) @ g.T`` with eigenvalues sorted descending and
-    eigenvector columns aligned. ``g11`` is the top-left p-by-p block of ``g``
-    and ``g21`` the block below it. ``eigengap`` is the separation between the
-    p-th and (p+1)-th eigenvalues; ``g11_condition`` estimates the conditioning
-    of inverting ``g11`` (1/sigma_min, which bounds the classical condition
-    number since the singular values of an orthogonal matrix's block never
-    exceed 1).
+    ``w = g @ diag(eigenvalues) @ g.T``, eigenvalues descending; under a known
+    covariance shape sigma0, ``w`` is sigma0^{-1/2} W sigma0^{-1/2}. For the
+    leading p eigenvectors G_s, ``g11`` is the top p-by-p block of the signal
+    basis sigma0^{1/2} G_s, ``g21`` the block below it and ``left`` is
+    G_s' sigma0^{-1/2} (G_s and G_s' without sigma0). ``eigengap`` separates
+    the p-th and (p+1)-th eigenvalues. ``g11_condition``,
+    |sigma0^{1/2}|_2 / sigma_min(g11), bounds the condition number of ``g11``
+    (no block of the basis has a singular value above |sigma0^{1/2}|_2) and
+    does not change when sigma0 is scaled.
     """
 
     w: np.ndarray
@@ -154,13 +148,15 @@ class EigenStructure:
     g: np.ndarray
     g11: np.ndarray
     g21: np.ndarray
+    left: np.ndarray
     eigengap: float
     g11_condition: float
     degenerate: bool
 
     @classmethod
-    def from_decomposition(cls, w, eigenvalues, g, p: int) -> "EigenStructure":
-        """Assemble the block partition and diagnostics from (w, eigenvalues, g).
+    def from_decomposition(cls, w, eigenvalues, g, p: int, roots=None) -> "EigenStructure":
+        """Assemble the signal basis and diagnostics from (w, eigenvalues, g),
+        mapped back through ``roots``, sigma0's (root, inverse root), if given.
 
         Does not verify that (eigenvalues, g) actually decompose w; that is
         the producing operation's contract.
@@ -171,20 +167,26 @@ class EigenStructure:
         m = w.shape[0]
         if not 1 <= p < m:
             raise ValidationError(f"p must satisfy 1 <= p < {m}, got {p}")
-        g11 = g[:p, :p].copy()
-        g21 = g[p:, :p].copy()
-        for block in (g11, g21):
+        signal = g[:, :p]
+        basis, left, root_norm = signal, signal.T, 1.0
+        if roots is not None:
+            basis, left = roots[0] @ signal, signal.T @ roots[1]
+            root_norm = float(np.linalg.norm(roots[0], 2))
+        g11 = basis[:p].copy()
+        g21 = basis[p:].copy()
+        for block in (g11, g21, left):
             block.setflags(write=False)
         eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
         degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
         sigma_min = float(np.linalg.svd(g11, compute_uv=False)[-1])
-        g11_condition = float(np.inf) if sigma_min == 0.0 else 1.0 / sigma_min
+        g11_condition = float(np.inf) if sigma_min == 0.0 else root_norm / sigma_min
         return cls(
             w=w,
             eigenvalues=eigenvalues,
             g=g,
             g11=g11,
             g21=g21,
+            left=left,
             eigengap=eigengap,
             g11_condition=g11_condition,
             degenerate=degenerate,
@@ -221,14 +223,14 @@ def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     return (w + w.T) / 2.0
 
 
-def signal_eigenstructure(w, p: int) -> EigenStructure:
+def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
     """Full eigendecomposition of the scatter matrix, sorted descending.
 
-    The leading p eigenvectors span the fitted signal subspace. Emits a
-    ``DegenerateSubspaceWarning`` when the eigengap at the signal/noise cut
-    vanishes relative to the leading eigenvalue, and raises
-    ``UnidentifiableError`` when the predictor block of the signal basis is
-    too ill-conditioned for the slope matrix to be computable.
+    The leading p eigenvectors span the fitted signal subspace; ``roots``,
+    sigma0's (root, inverse root), map its basis back from a whitened ``w``
+    (see ``EigenStructure``). Emits a ``DegenerateSubspaceWarning`` when the
+    eigengap at the signal/noise cut vanishes relative to the leading
+    eigenvalue; ``estimate_b`` decides whether the slope is computable.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -241,7 +243,7 @@ def signal_eigenstructure(w, p: int) -> EigenStructure:
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     g = g[:, order]
-    structure = EigenStructure.from_decomposition(w, eigenvalues, g, p)
+    structure = EigenStructure.from_decomposition(w, eigenvalues, g, p, roots)
     if structure.degenerate:
         warnings.warn(
             "signal subspace not uniquely determined "
@@ -249,10 +251,5 @@ def signal_eigenstructure(w, p: int) -> EigenStructure:
             f"{float(eigenvalues[0]):.3e})",
             DegenerateSubspaceWarning,
             stacklevel=2,
-        )
-    if structure.g11_condition > G11_CONDITION_LIMIT:
-        raise UnidentifiableError(
-            "predictor block of the signal basis is numerically singular "
-            f"(condition estimate {structure.g11_condition:.3e})"
         )
     return structure

@@ -102,21 +102,17 @@ def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.
         raise ValidationError(f"step must lie in [1e-9, 1e-3], got {step}")
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    gradient = np.empty(alpha.size + b.size)
-    for k in range(alpha.size):
-        delta = np.zeros_like(alpha)
-        delta[k] = step
-        gradient[k] = (
-            _glse_objective(data, alpha + delta, b)
-            - _glse_objective(data, alpha - delta, b)
-        ) / (2.0 * step)
-    for k in range(b.size):
-        delta = np.zeros_like(b)
-        delta.flat[k] = step
-        gradient[alpha.size + k] = (
-            _glse_objective(data, alpha, b + delta)
-            - _glse_objective(data, alpha, b - delta)
-        ) / (2.0 * step)
+    theta = np.concatenate([alpha, b.ravel()])
+
+    def objective(t):
+        return _glse_objective(data, t[: alpha.size], t[alpha.size :].reshape(b.shape))
+
+    gradient = np.empty(theta.size)
+    for k in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus[k] += step
+        minus[k] -= step
+        gradient[k] = (objective(plus) - objective(minus)) / (2.0 * step)
     return gradient
 
 
@@ -145,7 +141,6 @@ def perturbation_probe(
     *,
     tol: float = AGREEMENT_TOL,
     grad_step: float = 1e-6,
-    sigma0=None,
 ) -> OracleReport:
     """Run the full certification suite against a fit.
 
@@ -159,9 +154,9 @@ def perturbation_probe(
     finite-difference gradient at the fitted parameters, and evaluates how
     much worse the legacy mean estimate scores.
 
-    With ``sigma0`` given, the deviation check weighs distances by it and the
-    objective-based checks run in whitened coordinates, where the fit's
-    least-squares criteria live.
+    For a fit under a known covariance shape (``fit_result.sigma0``), the
+    deviation check weighs distances by it and the objective-based checks
+    run in whitened coordinates, where the fit's least-squares criteria live.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -170,6 +165,7 @@ def perturbation_probe(
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
 
+    sigma0 = fit_result.sigma0
     oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat, sigma0)
     max_abs_deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
 

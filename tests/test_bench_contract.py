@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from eivreg import io_cli
+from eivreg import estimators, io_cli
+from eivreg.model_core import ModelKind, ModelSpec, ObservedData
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -56,6 +57,7 @@ def test_traced_certified_fit_records_every_oracle_span(tmp_path, monkeypatch):
     names = {span["name"] for span in tracer.spans}
     assert {
         "io_cli.read_dataset", "estimators.fit_sigma0", "estimators.legacy_means",
+        "estimators.estimate_b", "estimators._graph_slope",
         "oracle.perturbation_probe", "oracle.project_columns_oracle",
         "oracle.glse_gradient_check", "io_cli.build_fit_report", "io_cli.report_to_json",
     } <= names
@@ -69,3 +71,28 @@ def test_traced_certified_fit_records_every_oracle_span(tmp_path, monkeypatch):
     for name in ("oracle.project_columns_oracle.ms", "oracle.glse_gradient_check.ms",
                  "oracle.perturbation_probe.self_ms", "io_cli.report.ms"):
         assert metrics[name]["value"] > 0.0
+
+
+def test_traced_identity_fit_records_every_estimator_span(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng(5)
+    x1 = rng.normal(size=(3, 40)) + 2.0
+    data = ObservedData(x1=x1, x2=rng.normal(size=(2, 3)) @ x1 + 0.3 * rng.normal(size=(2, 40)))
+
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        estimators.fit(data, ModelSpec(kind=ModelKind.INTERCEPT))
+    finally:
+        tracer.close()
+
+    names = {span["name"] for span in tracer.spans}
+    assert {
+        "estimators.fit", "model_core.scatter_matrix", "model_core.signal_eigenstructure",
+        "estimators.estimate_b", "estimators._graph_slope", "estimators._assemble",
+        "estimators.residual_matrix", "estimators.glse_residual",
+    } <= names
+    metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
+                                    overhead=0.0)
+    assert metrics["estimators.scatter_calls"]["value"] == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivreg as ev
-from eivreg import invariants
+from eivreg import estimators, invariants
 from eivreg.model_core import EigenStructure
 
 INTERCEPT = ev.ModelKind.INTERCEPT
@@ -338,6 +338,53 @@ def test_fit_sigma0_never_builds_whitened_observations(monkeypatch):
                         lambda self: built.append(self) or original(self))
     ev.legacy_means(data, spec, ev.fit(data, spec))
     assert built == []
+
+
+def test_fit_sigma0_takes_its_roots_once(monkeypatch):
+    _, data, spec = dense_sigma0_instance(INTERCEPT, 73)
+    shapes = []
+    original = estimators.sigma0_symmetric_roots
+    monkeypatch.setattr(estimators, "sigma0_symmetric_roots",
+                        lambda s: shapes.append(np.shape(s)) or original(s))
+    ev.legacy_means(data, spec, ev.fit(data, spec))
+    assert shapes.count(spec.sigma0.shape) == 1
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_fit_sigma0_slope_and_condition_ignore_the_scale_of_sigma0(factor):
+    _, data, spec = dense_sigma0_instance(INTERCEPT, 74)
+    base = ev.fit(data, spec)
+    scaled = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=factor * spec.sigma0))
+    assert_close(scaled.b_hat, base.b_hat, float(np.max(np.abs(base.b_hat))))
+    condition = base.eigenstructure.g11_condition
+    assert_close(scaled.eigenstructure.g11_condition, condition, condition)
+
+
+LINE_SHAPE = np.array([[1.25, 1.0], [1.0, 1.25]])
+
+
+def noisy_line(slope, sigma):
+    """x = [u; slope u] plus errors of covariance sigma^2 LINE_SHAPE."""
+    u = np.linspace(-3.0, 3.0, 50)
+    z = np.random.default_rng(0).normal(size=(2, u.size))
+    x = np.vstack([u, slope * u]) + sigma * np.linalg.cholesky(LINE_SHAPE) @ z
+    return ev.ObservedData(x1=x[:1], x2=x[1:])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_sigma0_recovers_a_line_without_noise(kind, sigma):
+    # the whitened signal eigenvector of this line has a zero predictor
+    # entry, but the slope is read from the basis in data coordinates
+    result = ev.fit(noisy_line(2.0, sigma), ev.ModelSpec(kind=kind, sigma0=LINE_SHAPE))
+    assert abs(result.b_hat[0, 0] - 2.0) <= 1e-9
+    assert result.eigenstructure.g11_condition < 10.0
+
+
+@pytest.mark.parametrize("shape", [None, np.eye(2), LINE_SHAPE], ids=["none", "eye", "dense"])
+def test_near_vertical_line_is_unidentifiable_under_every_shape(shape):
+    with pytest.raises(ev.UnidentifiableError):
+        ev.fit(noisy_line(1e13, 1e-2), ev.ModelSpec(kind=INTERCEPT, sigma0=shape))
 
 
 def test_fit_validation_errors():

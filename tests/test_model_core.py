@@ -204,8 +204,9 @@ def test_eigenstructure_rejects_bad_p():
 def test_vertical_signal_is_unidentifiable():
     # all scatter in the response block: the signal direction has no
     # predictor component, so the slope is not computable
+    es = ev.signal_eigenstructure(np.diag([0.0, 2.0]), p=1)
     with pytest.raises(ev.UnidentifiableError):
-        ev.signal_eigenstructure(np.diag([0.0, 2.0]), p=1)
+        ev.estimate_b(es)
 
 
 def test_from_decomposition_blocks():

@@ -53,7 +53,7 @@ def test_oracle_sigma0_matches_generalized_fit():
         truth = ev.random_truth(88, index, INTERCEPT, p=2, r=2, sigma0=sigma0)
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        assert invariants.oracle_agreement(data, result, sigma0) <= 1.0
+        assert invariants.oracle_agreement(data, result) <= 1.0
 
 
 def per_column_oracle(data, alpha, b, sigma0=None):
@@ -177,9 +177,7 @@ def test_probe_sigma0_aware():
     truth = ev.random_truth(65, 0, INTERCEPT, p=2, r=1, sigma0=sigma0)
     data = ev.generate_dataset(truth)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-    report = ev.perturbation_probe(
-        data, result, trials=200, scale=1e-3, seed=5, sigma0=sigma0
-    )
+    report = ev.perturbation_probe(data, result, trials=200, scale=1e-3, seed=5)
     assert report.perturbation_violations == 0
     assert report.passed
 
