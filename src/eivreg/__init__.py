@@ -34,7 +34,6 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     ObservedData,
-    center_columns,
     scatter_matrix,
     signal_eigenstructure,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "SyntheticTruth",
     "UnidentifiableError",
     "ValidationError",
-    "center_columns",
     "consistency_experiment",
     "default_mean_grid",
     "estimate_alpha",

@@ -25,7 +25,6 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     ObservedData,
-    center_columns,
     scatter_matrix,
     signal_eigenstructure,
 )
@@ -93,10 +92,10 @@ def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKin
     form incorrect. For the no-intercept model no centering or shift applies
     and the legacy form is already correct.
     """
-    legacy = legacy_u1(data, es, kind)
-    if kind is ModelKind.NO_INTERCEPT:
-        return legacy
-    return data.x1.mean(axis=1, keepdims=True) + legacy
+    u1 = legacy_u1(data, es, kind)
+    if kind is ModelKind.INTERCEPT:
+        u1 += data.x1.mean(axis=1, keepdims=True)
+    return u1
 
 
 def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
@@ -114,19 +113,23 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
 
 def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
-    g11 (left1 X1c + left2 X2c) with [left1 left2] = ``es.left``, the columns
-    centered for the intercept model. Both factors are read from the signal
-    basis in the coordinates of the data, so one expression serves every
-    covariance shape (g11 and [g11' g21'] under the identity).
+    P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar the row
+    means for the intercept model, zero without one. Both factors are read
+    from the signal basis in data coordinates, so one expression serves every
+    covariance shape. P1 X1 + P2 X2 is formed on the raw blocks and P xbar
+    subtracted as one p-vector, so the data is neither centered nor copied.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
     no-intercept model it coincides with the corrected estimate. Retained so
     the defect can be demonstrated and reported side by side.
     """
-    x1c = center_columns(data.x1, kind)
-    x2c = center_columns(data.x2, kind)
-    return es.g11 @ (es.left[:, : data.p] @ x1c) + es.g11 @ (es.left[:, data.p :] @ x2c)
+    proj = es.g11 @ es.left
+    u1 = proj[:, : data.p] @ data.x1
+    u1 += proj[:, data.p :] @ data.x2
+    if kind is ModelKind.INTERCEPT:
+        u1 -= proj @ np.concatenate([data.x1.mean(axis=1), data.x2.mean(axis=1)])[:, None]
+    return u1
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
@@ -138,11 +141,17 @@ def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
 
 
 def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:
-    """Full stacked residual: X minus the offset minus the graph map of U1."""
+    """Full stacked residual [X1 - U1; X2 - B U1 - alpha 1'], filled into
+    one (p+r)-by-n buffer with no other n-sized temporary."""
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    return np.vstack([data.x1 - u1, data.x2 - alpha[:, None] - b @ u1])
+    res = np.empty((data.p + data.r, data.n))
+    np.subtract(data.x1, u1, out=res[: data.p])
+    response = res[data.p :]
+    np.subtract(data.x2, np.matmul(b, u1, out=response), out=response)
+    response -= alpha[:, None]
+    return res
 
 
 def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
@@ -155,12 +164,7 @@ def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    if sigma0 is None:
-        spread = np.eye(data.r) + b @ b.T
-    else:
-        c = np.hstack([-b, np.eye(data.r)])
-        spread = c @ sigma0 @ c.T
-    _, normalizer = sigma0_symmetric_roots(spread)
+    _, normalizer = sigma0_symmetric_roots(_graph_complement(b, sigma0)[1])
     return normalizer @ (data.x2 - alpha[:, None] - b @ data.x1)
 
 
@@ -180,6 +184,12 @@ def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
     root = (v * np.sqrt(lam)) @ v.T
     inv_root = (v / np.sqrt(lam)) @ v.T
     return root, inv_root
+
+
+def _graph_complement(b: np.ndarray, sigma0) -> tuple[np.ndarray, np.ndarray]:
+    """C = [-B I], which annihilates the graph basis [I; B], and C sigma0 C'."""
+    c = np.hstack([-b, np.eye(b.shape[0])])
+    return c, (np.eye(b.shape[0]) + b @ b.T if sigma0 is None else c @ sigma0 @ c.T)
 
 
 def _graph_slope(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -230,18 +240,19 @@ def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> Fi
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
     """The closed forms on the signal basis of ``es``, in data coordinates
-    for every covariance shape."""
+    for every covariance shape. Both objectives come from the Gram matrix
+    G = R R' of the one residual R: OLSE = tr(sigma0^{-1} G) and GLSE =
+    tr(S^{-1} C G C'), as C [I; B] = 0 gives C R = X2 - alpha 1' - B X1 (see
+    ``_graph_complement``). The trailing eigenvalues of W would lose the
+    residual's relative precision as the noise shrinks."""
     b_hat = estimate_b(es)
     alpha_hat = estimate_alpha(b_hat, data, kind)
     u1_hat = estimate_u1_corrected(data, es, kind)
     u2_hat = estimate_u2(u1_hat, alpha_hat, b_hat)
     r_mat = residual_matrix(data, alpha_hat, b_hat, u1_hat)
-    if sigma0 is None:
-        olse = float(np.sum(r_mat * r_mat))
-    else:
-        # tr(sigma0^{-1} R R') through the (p+r)-by-(p+r) Gram matrix of R
-        olse = float(np.trace(np.linalg.solve(sigma0, r_mat @ r_mat.T)))
-    q_mat = glse_residual(data, alpha_hat, b_hat, sigma0)
+    gram = r_mat @ r_mat.T
+    c, spread = _graph_complement(b_hat, sigma0)
+    olse = float(np.trace(gram if sigma0 is None else np.linalg.solve(sigma0, gram)))
     return FitResult(
         kind=kind,
         b_hat=b_hat,
@@ -249,7 +260,7 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
         u1_hat=u1_hat,
         u2_hat=u2_hat,
         olse_objective=olse,
-        glse_objective=float(np.sum(q_mat * q_mat)),
+        glse_objective=float(np.trace(np.linalg.solve(spread, c @ gram @ c.T))),
         # ad hoc scale diagnostic, not a derived estimator of the error variance
         residual_scale=olse / (data.n * (data.p + data.r)),
         eigenstructure=es,

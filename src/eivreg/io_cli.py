@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 import warnings
@@ -333,26 +334,39 @@ def report_to_json(report: dict) -> str:
     return "".join(parts)
 
 
-def _flatten(prefix: str, value, rows: list) -> None:
+def _flatten(prefix: str, value, writer, out) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), item, rows)
+            _flatten(f"{prefix}.{key}" if prefix else str(key), item, writer, out)
     elif isinstance(value, (list, tuple)):
+        text = _float_list_csv(prefix, value)
+        if text is not None:
+            out.write(text)
+            return
         for index, item in enumerate(value):
-            _flatten(f"{prefix}.{index}", item, rows)
+            _flatten(f"{prefix}.{index}", item, writer, out)
     else:
-        rows.append((prefix, value))
+        writer.writerow([prefix, repr(float(value)) if isinstance(value, float) else value])
+
+
+def _float_list_csv(prefix: str, values):
+    """The rows ``csv.writer`` writes for a list of floats under ``prefix``,
+    in one join; None when the key needs quoting or an item is not a float."""
+    if any(char in prefix for char in ',"\r\n'):
+        return None
+    try:
+        return "".join(map("{}.{},{}\n".format, itertools.repeat(prefix), itertools.count(),
+                           map(float.__repr__, values)))
+    except TypeError:  # an int, bool, str or list item, which csv writes its own way
+        return None
 
 
 def report_to_csv(report: dict) -> str:
     """Flatten a report to ``key,value`` rows with dotted key paths."""
-    rows: list = []
-    _flatten("", report, rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, repr(float(value)) if isinstance(value, float) else value])
+    _flatten("", report, writer, buffer)
     return buffer.getvalue()
 
 

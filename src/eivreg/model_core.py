@@ -1,10 +1,10 @@
 """Observed-data model, column centering, scatter matrix, and its eigenstructure.
 
 Everything the estimators consume but do not own lives here: the stacked
-observation blocks, the intercept/no-intercept model choice, the centering
-operator, the scatter matrix W of the (optionally centered) observations, and
-the descending-ordered symmetric eigendecomposition of W with the blocks of
-its signal basis that the slope and mean-vector estimators read.
+observation blocks, the intercept/no-intercept model choice, the scatter
+matrix W of the (optionally centered) observations, and the
+descending-ordered symmetric eigendecomposition of W with the blocks of its
+signal basis that the slope and mean-vector estimators read.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class ObservedData:
     column i of each holds the i-th observed vector. Entries must be finite.
     Fitting additionally requires n >= 2 (and n >= p + 1 for the intercept
     model); those checks live at the fit/ingestion boundary so that partial
-    objects (e.g. a single column) can still flow through the centering and
-    scatter operations.
+    objects (e.g. a single column) can still flow through the scatter
+    operation.
     """
 
     x1: np.ndarray
@@ -193,32 +193,18 @@ class EigenStructure:
         )
 
 
-def center_columns(x, kind: ModelKind) -> np.ndarray:
-    """Apply the model's column-centering operator to an m-by-n matrix.
-
-    For the no-intercept model the operator is the identity and the input is
-    returned unchanged. For the intercept model each row's mean is subtracted
-    from that row, which equals right-multiplication by the centering
-    projector without ever materializing the n-by-n matrix.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValidationError(f"expected an m-by-n matrix with n >= 1, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("matrix contains non-finite entries")
-    if kind is ModelKind.NO_INTERCEPT:
-        return x
-    return x - x.mean(axis=1, keepdims=True)
-
-
 def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     """Scatter matrix W of the (centered) stacked observations.
 
-    Formed as the outer product of the centered matrix with itself, so
-    symmetry and positive semidefiniteness hold by construction (the centering
-    projector is idempotent); the result is symmetrized to absorb roundoff.
+    The blocks, less their row means for the intercept model, are written
+    once into one (p+r)-by-n buffer whose outer product with itself is W, so
+    symmetry and positive semidefiniteness hold by construction (the result
+    is symmetrized to absorb roundoff). ``ObservedData`` holds finite copies.
     """
-    centered = center_columns(data.stacked(), kind)
+    centered = np.empty((data.p + data.r, data.n))
+    for block, rows in ((data.x1, centered[: data.p]), (data.x2, centered[data.p :])):
+        shift = block.mean(axis=1, keepdims=True) if kind is ModelKind.INTERCEPT else 0.0
+        np.subtract(block, shift, out=rows)
     w = centered @ centered.T
     return (w + w.T) / 2.0
 

@@ -87,12 +87,15 @@ def test_traced_identity_fit_records_every_estimator_span(monkeypatch):
     finally:
         tracer.close()
 
-    names = {span["name"] for span in tracer.spans}
+    names = [span["name"] for span in tracer.spans]
     assert {
         "estimators.fit", "model_core.scatter_matrix", "model_core.signal_eigenstructure",
         "estimators.estimate_b", "estimators._graph_slope", "estimators._assemble",
-        "estimators.residual_matrix", "estimators.glse_residual",
-    } <= names
+        "estimators.residual_matrix",
+    } <= set(names)
+    # both objectives come from the Gram matrix of the one residual
+    assert names.count("estimators.residual_matrix") == 1
+    assert "estimators.glse_residual" not in names
     metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
                                     overhead=0.0)
     assert metrics["estimators.scatter_calls"]["value"] == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,6 +299,53 @@ def dense_sigma0_instance(kind, seed):
 
 def assert_close(actual, expected, scale):
     assert float(np.max(np.abs(np.asarray(actual) - expected))) <= 1e-12 * scale
+
+
+SHAPES = {"identity": None, "dense": random_spd(np.random.default_rng(77), 5)}
+
+
+@pytest.mark.parametrize("sigma", [1e-1, 1e-3, 1e-5])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_objectives_match_the_direct_residual_sums(kind, shape, sigma):
+    # the fit takes both objectives from the residual Gram; the trailing
+    # eigenvalues of W drift from these sums as the noise shrinks
+    sigma0 = SHAPES[shape]
+    truth = ev.random_truth(9, 0, kind, p=3, r=2, n=2000, sigma=sigma, sigma0=sigma0)
+    data = ev.generate_dataset(truth)
+    result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
+    b, alpha = result.b_hat, result.alpha_hat
+    res = ev.residual_matrix(data, alpha, b, result.u1_hat)
+    q = data.x2 - alpha[:, None] - b @ data.x1
+    c = np.hstack([-b, np.eye(data.r)])
+    if sigma0 is None:
+        olse, spread = np.sum(res * res), np.eye(data.r) + b @ b.T
+    else:
+        olse, spread = np.sum(res * np.linalg.solve(sigma0, res)), c @ sigma0 @ c.T
+    glse = np.sum(q * np.linalg.solve(spread, q))
+    assert result.olse_objective == pytest.approx(olse, rel=1e-10, abs=0)
+    assert result.glse_objective == pytest.approx(glse, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_peak_memory_is_about_twice_the_input(kind, shape, monkeypatch):
+    # the result keeps U1 and U2 (one input's worth); the residual is the only
+    # other n-sized buffer alive at once, and the data is never stacked
+    monkeypatch.setattr(ev.ObservedData, "stacked", None)
+    p, r, n = 3, 2, 200_000
+    rng = np.random.default_rng(12)
+    x1 = rng.normal(size=(p, n)) + 3.0
+    x2 = rng.normal(size=(r, p)) @ x1 + 0.1 * rng.normal(size=(r, n))
+    data = ev.ObservedData(x1=x1, x2=x2)
+    spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
+    tracemalloc.start()
+    try:
+        ev.fit(data, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * x1.nbytes + 2.1 * x2.nbytes
 
 
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])

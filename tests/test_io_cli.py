@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 
@@ -276,6 +278,42 @@ def test_report_to_json_is_json_dumps(report):
     assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
+def report_to_csv_per_cell(report):
+    """The writer before lists of floats were joined: one ``csv.writer`` row
+    per flattened leaf."""
+    rows = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{prefix}.{key}" if prefix else str(key), item)
+        elif isinstance(value, (list, tuple)):
+            for index, item in enumerate(value):
+                walk(f"{prefix}.{index}", item)
+        else:
+            rows.append((prefix, value))
+
+    walk("", report)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    for key, value in rows:
+        writer.writerow([key, repr(float(value)) if isinstance(value, float) else value])
+    return buffer.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORTS)
+@example({"means": {"u1_hat": {"rows": 1, "cols": 3, "data": [[-0.0, 5e-324, 1e16]]}}})
+@example({"a": {"rows": 2, "cols": 0, "data": [[], []]}, "b": {"data": []}})
+@example({"m": {"data": [[1, 2.0], [True, 1e-7]]}, "n": {"data": [[np.float64(0.1), None]]},
+          "alpha_hat": [1.5, -0.0], "n_grid": [0.5, 2]})
+@example({"a,b": {"data": [[0.5, float("nan")]]}, 'q"': {"data": [[float("-inf")]]},
+          "l\n": {"data": [[sys.float_info.max, -sys.float_info.max]]}})
+def test_report_to_csv_matches_the_per_cell_writer(report):
+    assert io_cli.report_to_csv(report) == report_to_csv_per_cell(report)
+
+
 def test_report_to_json_on_a_full_fit_report(tmp_path):
     report = fit_report_for_dsb(tmp_path, emit_means=True, legacy=[[-1.0, 0.0, 1.0]])
     assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
@@ -293,8 +331,9 @@ def test_fit_report_contents(tmp_path):
 
 
 def test_fit_report_csv_flattening(tmp_path):
-    report = fit_report_for_dsb(tmp_path)
+    report = fit_report_for_dsb(tmp_path, emit_means=True, legacy=[[-1.0, 0.0, 1.0]])
     text = io_cli.report_to_csv(report)
+    assert text == report_to_csv_per_cell(report)
     lines = text.splitlines()
     assert lines[0] == "key,value"
     values = dict(line.split(",", 1) for line in lines[1:])

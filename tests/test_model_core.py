@@ -52,49 +52,58 @@ def test_model_spec_rejects_indefinite_sigma0():
 
 
 # ---------------------------------------------------------------------------
-# centering
+# centering, applied by the scatter matrix
 # ---------------------------------------------------------------------------
 
 def test_center_no_intercept_returns_input_unchanged():
-    x = np.array([[1.0, 3.0], [2.0, 5.0]])
-    np.testing.assert_array_equal(ev.center_columns(x, NO_INTERCEPT), x)
+    data = ev.ObservedData(x1=[[1.0, 3.0]], x2=[[2.0, 5.0]])
+    np.testing.assert_array_equal(
+        ev.scatter_matrix(data, NO_INTERCEPT), [[10.0, 17.0], [17.0, 29.0]]
+    )
 
 
 def test_center_intercept_examples():
-    np.testing.assert_allclose(
-        ev.center_columns([[1.0, 3.0]], INTERCEPT), [[-1.0, 1.0]]
-    )
-    np.testing.assert_allclose(
-        ev.center_columns([[0.0, 1.0, 2.0]], INTERCEPT), [[-1.0, 0.0, 1.0]]
-    )
+    data = ev.ObservedData(x1=[[1.0, 3.0]], x2=[[2.0, 6.0]])
+    np.testing.assert_allclose(ev.scatter_matrix(data, INTERCEPT), [[2.0, 4.0], [4.0, 8.0]])
+    data = ev.ObservedData(x1=[[0.0, 1.0, 2.0]], x2=[[5.0, 5.0, 5.0]])
+    np.testing.assert_allclose(ev.scatter_matrix(data, INTERCEPT), [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_center_rejects_non_finite():
+    # ObservedData holds finite copies, so the scatter pass need not check again
     with pytest.raises(ev.ValidationError):
-        ev.center_columns([[np.inf, 1.0]], INTERCEPT)
+        ev.scatter_matrix(ev.ObservedData(x1=[[1.0, 2.0]], x2=[[np.inf, 1.0]]), INTERCEPT)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     arrays(
         np.float64,
-        st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        st.tuples(st.integers(2, 5), st.integers(1, 12)),
         elements=st.floats(-1e6, 1e6),
     )
 )
 def test_center_idempotent(x):
-    once = ev.center_columns(x, INTERCEPT)
-    twice = ev.center_columns(once, INTERCEPT)
-    scale = max(1.0, float(np.max(np.abs(x))))
+    centered = x - x.mean(axis=1, keepdims=True)
+    once = ev.scatter_matrix(ev.ObservedData(x1=x[:1], x2=x[1:]), INTERCEPT)
+    twice = ev.scatter_matrix(ev.ObservedData(x1=centered[:1], x2=centered[1:]), INTERCEPT)
+    uncentered = ev.scatter_matrix(
+        ev.ObservedData(x1=centered[:1], x2=centered[1:]), NO_INTERCEPT
+    )
+    scale = max(1.0, float(np.max(np.abs(x)))) ** 2 * x.shape[1]
     np.testing.assert_allclose(twice, once, atol=1e-12 * scale, rtol=0)
+    np.testing.assert_allclose(uncentered, twice, atol=1e-12 * scale, rtol=0)
 
 
 def test_center_row_sums_vanish():
+    # centered rows sum to zero, so a per-row offset leaves the intercept W unchanged
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 17)) * 10.0
-    centered = ev.center_columns(x, INTERCEPT)
-    bound = 1e-10 * x.shape[1] * np.max(np.abs(x))
-    assert np.all(np.abs(centered.sum(axis=1)) <= bound)
+    shifted = x + rng.normal(size=(3, 1)) * 1e3
+    w = ev.scatter_matrix(ev.ObservedData(x1=x[:2], x2=x[2:]), INTERCEPT)
+    w_shifted = ev.scatter_matrix(ev.ObservedData(x1=shifted[:2], x2=shifted[2:]), INTERCEPT)
+    bound = 1e-10 * x.shape[1] * np.max(np.abs(shifted)) * np.max(np.abs(x))
+    assert np.all(np.abs(w_shifted - w) <= bound)
 
 
 # ---------------------------------------------------------------------------
