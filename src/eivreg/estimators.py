@@ -81,7 +81,7 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     b_hat = np.asarray(b_hat, dtype=float)
     if kind is ModelKind.NO_INTERCEPT:
         return np.zeros(data.r)
-    return data.x2.mean(axis=1) - b_hat @ data.x1.mean(axis=1)
+    return data.row_means[data.p :] - b_hat @ data.row_means[: data.p]
 
 
 def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
@@ -94,7 +94,7 @@ def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKin
     """
     u1 = legacy_u1(data, es, kind)
     if kind is ModelKind.INTERCEPT:
-        u1 += data.x1.mean(axis=1, keepdims=True)
+        u1 += data.row_means[: data.p, None]
     return u1
 
 
@@ -113,11 +113,12 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
 
 def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
-    P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar the row
-    means for the intercept model, zero without one. Both factors are read
-    from the signal basis in data coordinates, so one expression serves every
-    covariance shape. P1 X1 + P2 X2 is formed on the raw blocks and P xbar
-    subtracted as one p-vector, so the data is neither centered nor copied.
+    P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar
+    ``data.row_means`` for the intercept model, zero without one. Both factors
+    are read from the signal basis in data coordinates, so one expression
+    serves every covariance shape. P1 X1 + P2 X2 is formed on the raw blocks
+    and P xbar subtracted as one p-vector, so the data is neither centered
+    nor copied.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
@@ -128,16 +129,15 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     u1 = proj[:, : data.p] @ data.x1
     u1 += proj[:, data.p :] @ data.x2
     if kind is ModelKind.INTERCEPT:
-        u1 -= proj @ np.concatenate([data.x1.mean(axis=1), data.x2.mean(axis=1)])[:, None]
+        u1 -= proj @ data.row_means[:, None]
     return u1
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
     """Response mean vectors implied by the model: alpha 1' + B U1."""
-    u1_hat = np.asarray(u1_hat, dtype=float)
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    b_hat = np.asarray(b_hat, dtype=float)
-    return alpha_hat[:, None] + b_hat @ u1_hat
+    u2 = np.asarray(b_hat, dtype=float) @ np.asarray(u1_hat, dtype=float)
+    u2 += np.asarray(alpha_hat, dtype=float)[:, None]
+    return u2
 
 
 def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:

@@ -30,7 +30,8 @@ def _max_abs(x) -> float:
 def mean_route_equivalence(data: ObservedData, result: FitResult) -> float:
     """Eigenvector- against projection-route means, 1e-9 relative to max |X|."""
     projected = estimate_u1_projection(data, result.alpha_hat, result.b_hat)
-    return _max_abs(projected - result.u1_hat) / (1e-9 * max(1.0, _max_abs(data.stacked())))
+    scale = max(1.0, _max_abs(data.x1), _max_abs(data.x2))
+    return _max_abs(projected - result.u1_hat) / (1e-9 * scale)
 
 
 def mean_shift(data: ObservedData, result: FitResult) -> float:

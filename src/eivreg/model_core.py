@@ -1,10 +1,10 @@
-"""Observed-data model, column centering, scatter matrix, and its eigenstructure.
+"""Observed-data model, scatter matrix, and its eigenstructure.
 
-Everything the estimators consume but do not own lives here: the stacked
-observation blocks, the intercept/no-intercept model choice, the scatter
-matrix W of the (optionally centered) observations, and the
-descending-ordered symmetric eigendecomposition of W with the blocks of its
-signal basis that the slope and mean-vector estimators read.
+Everything the estimators consume but do not own lives here: the observation
+blocks and their row means, the intercept/no-intercept model choice, the
+scatter matrix W of the (optionally centered) observations, and the signal
+basis of W's descending eigendecomposition that the slope and mean-vector
+estimators read, with its spectrum and diagnostics.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,14 @@ class ObservedData:
     def n(self) -> int:
         return self.x1.shape[1]
 
+    @cached_property
+    def row_means(self) -> np.ndarray:
+        """The row means of x1 followed by those of x2, a read-only
+        (p+r)-vector computed on first use; the blocks are read-only too."""
+        means = np.concatenate([self.x1.mean(axis=1), self.x2.mean(axis=1)])
+        means.setflags(write=False)
+        return means
+
     def stacked(self) -> np.ndarray:
         """The (p+r)-by-n matrix with x1 on top of x2."""
         return np.vstack([self.x1, self.x2])
@@ -129,23 +138,21 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Ordered eigendecomposition of the scatter matrix, with its signal basis
-    in the coordinates of the data.
+    """Signal basis of the scatter matrix in the coordinates of the data, with
+    the diagnostics of its eigendecomposition.
 
-    ``w = g @ diag(eigenvalues) @ g.T``, eigenvalues descending; under a known
-    covariance shape sigma0, ``w`` is sigma0^{-1/2} W sigma0^{-1/2}. For the
+    ``eigenvalues`` holds the spectrum of W, descending; under a known
+    covariance shape sigma0, that of sigma0^{-1/2} W sigma0^{-1/2}. For its
     leading p eigenvectors G_s, ``g11`` is the top p-by-p block of the signal
     basis sigma0^{1/2} G_s, ``g21`` the block below it and ``left`` is
     G_s' sigma0^{-1/2} (G_s and G_s' without sigma0). ``eigengap`` separates
     the p-th and (p+1)-th eigenvalues. ``g11_condition``,
     |sigma0^{1/2}|_2 / sigma_min(g11), bounds the condition number of ``g11``
     (no block of the basis has a singular value above |sigma0^{1/2}|_2) and
-    does not change when sigma0 is scaled.
+    does not change when sigma0 is scaled. ``signal_eigenstructure`` builds it.
     """
 
-    w: np.ndarray
     eigenvalues: np.ndarray
-    g: np.ndarray
     g11: np.ndarray
     g21: np.ndarray
     left: np.ndarray
@@ -153,74 +160,42 @@ class EigenStructure:
     g11_condition: float
     degenerate: bool
 
-    @classmethod
-    def from_decomposition(cls, w, eigenvalues, g, p: int, roots=None) -> "EigenStructure":
-        """Assemble the signal basis and diagnostics from (w, eigenvalues, g),
-        mapped back through ``roots``, sigma0's (root, inverse root), if given.
-
-        Does not verify that (eigenvalues, g) actually decompose w; that is
-        the producing operation's contract.
-        """
-        w = _as_matrix(w, "w")
-        eigenvalues = _as_vector(eigenvalues, "eigenvalues")
-        g = _as_matrix(g, "g")
-        m = w.shape[0]
-        if not 1 <= p < m:
-            raise ValidationError(f"p must satisfy 1 <= p < {m}, got {p}")
-        signal = g[:, :p]
-        basis, left, root_norm = signal, signal.T, 1.0
-        if roots is not None:
-            basis, left = roots[0] @ signal, signal.T @ roots[1]
-            root_norm = float(np.linalg.norm(roots[0], 2))
-        g11 = basis[:p].copy()
-        g21 = basis[p:].copy()
-        for block in (g11, g21, left):
-            block.setflags(write=False)
-        eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
-        degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
-        sigma_min = float(np.linalg.svd(g11, compute_uv=False)[-1])
-        g11_condition = float(np.inf) if sigma_min == 0.0 else root_norm / sigma_min
-        return cls(
-            w=w,
-            eigenvalues=eigenvalues,
-            g=g,
-            g11=g11,
-            g21=g21,
-            left=left,
-            eigengap=eigengap,
-            g11_condition=g11_condition,
-            degenerate=degenerate,
-        )
-
 
 def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     """Scatter matrix W of the (centered) stacked observations.
 
-    The blocks, less their row means for the intercept model, are written
+    The blocks, less ``data.row_means`` for the intercept model, are written
     once into one (p+r)-by-n buffer whose outer product with itself is W, so
     symmetry and positive semidefiniteness hold by construction (the result
     is symmetrized to absorb roundoff). ``ObservedData`` holds finite copies.
     """
     centered = np.empty((data.p + data.r, data.n))
-    for block, rows in ((data.x1, centered[: data.p]), (data.x2, centered[data.p :])):
-        shift = block.mean(axis=1, keepdims=True) if kind is ModelKind.INTERCEPT else 0.0
-        np.subtract(block, shift, out=rows)
+    intercept = kind is ModelKind.INTERCEPT
+    shift = data.row_means[:, None] if intercept else np.zeros((data.p + data.r, 1))
+    np.subtract(data.x1, shift[: data.p], out=centered[: data.p])
+    np.subtract(data.x2, shift[data.p :], out=centered[data.p :])
     w = centered @ centered.T
     return (w + w.T) / 2.0
 
 
 def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
-    """Full eigendecomposition of the scatter matrix, sorted descending.
+    """Signal basis and descending spectrum of the scatter matrix.
 
-    The leading p eigenvectors span the fitted signal subspace; ``roots``,
-    sigma0's (root, inverse root), map its basis back from a whitened ``w``
-    (see ``EigenStructure``). Emits a ``DegenerateSubspaceWarning`` when the
-    eigengap at the signal/noise cut vanishes relative to the leading
-    eigenvalue; ``estimate_b`` decides whether the slope is computable.
+    ``w`` must be square, finite and symmetric to 1e-10 relative, and
+    1 <= p < its order. The leading p eigenvectors span the fitted signal
+    subspace; ``roots``, sigma0's (root, inverse root), map its basis back
+    from a whitened ``w`` (see ``EigenStructure``). Warns with
+    ``DegenerateSubspaceWarning`` when the eigengap at the signal/noise cut
+    vanishes relative to the leading eigenvalue; ``estimate_b`` decides
+    whether the slope is computable.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError(f"w must be square, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("w contains non-finite entries")
+    if not 1 <= p < w.shape[0]:
+        raise ValidationError(f"p must satisfy 1 <= p < {w.shape[0]}, got {p}")
     scale = max(1.0, float(np.max(np.abs(w))))
     if float(np.max(np.abs(w - w.T))) > 1e-10 * scale:
         raise ValidationError("w is not symmetric to 1e-10 relative")
@@ -228,14 +203,31 @@ def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
     # stable sort keeps the solver's tie order for repeated eigenvalues
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    g = g[:, order]
-    structure = EigenStructure.from_decomposition(w, eigenvalues, g, p, roots)
-    if structure.degenerate:
+    signal = g[:, order][:, :p]
+    basis, left, root_norm = signal, signal.T, 1.0
+    if roots is not None:
+        basis, left = roots[0] @ signal, signal.T @ roots[1]
+        root_norm = float(np.linalg.norm(roots[0], 2))
+    g11 = basis[:p].copy()
+    g21 = basis[p:].copy()
+    for array in (eigenvalues, g11, g21, left):
+        array.setflags(write=False)
+    eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
+    degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
+    if degenerate:
         warnings.warn(
             "signal subspace not uniquely determined "
-            f"(eigengap {structure.eigengap:.3e} at leading eigenvalue "
-            f"{float(eigenvalues[0]):.3e})",
+            f"(eigengap {eigengap:.3e} at leading eigenvalue {float(eigenvalues[0]):.3e})",
             DegenerateSubspaceWarning,
             stacklevel=2,
         )
-    return structure
+    sigma_min = float(np.linalg.svd(g11, compute_uv=False)[-1])
+    return EigenStructure(
+        eigenvalues=eigenvalues,
+        g11=g11,
+        g21=g21,
+        left=left,
+        eigengap=eigengap,
+        g11_condition=float(np.inf) if sigma_min == 0.0 else root_norm / sigma_min,
+        degenerate=degenerate,
+    )

@@ -117,19 +117,21 @@ def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.
 
 
 def _whitened_view(data, fit_result, sigma0):
-    """Re-express the data and the fitted triple in whitened coordinates,
-    where the identity-shape least-squares criteria apply."""
+    """Re-express the data, the fitted triple and the legacy means' shift,
+    the top p rows of sigma0^{-1/2} [xbar1; B xbar1], in whitened
+    coordinates, where the identity-shape least-squares criteria apply."""
     _, inv_root = sigma0_symmetric_roots(sigma0)
     xw = inv_root @ data.stacked()
     wdata = ObservedData(x1=xw[: data.p], x2=xw[data.p :])
     mapped = inv_root @ np.vstack([np.eye(data.p), fit_result.b_hat])
     b_white = np.linalg.solve(mapped[: data.p].T, mapped[data.p :].T).T
+    alpha_white, legacy_shift = np.zeros(data.r), 0.0
     if fit_result.kind is ModelKind.INTERCEPT:
         alpha_white = wdata.x2.mean(axis=1) - b_white @ wdata.x1.mean(axis=1)
-    else:
-        alpha_white = np.zeros(data.r)
+        x1_mean = data.x1.mean(axis=1, keepdims=True)
+        legacy_shift = inv_root[: data.p] @ np.vstack([x1_mean, fit_result.b_hat @ x1_mean])
     u_white = inv_root @ np.vstack([fit_result.u1_hat, fit_result.u2_hat])
-    return wdata, alpha_white, b_white, u_white[: data.p]
+    return wdata, alpha_white, b_white, u_white[: data.p], legacy_shift
 
 
 def perturbation_probe(
@@ -166,6 +168,7 @@ def perturbation_probe(
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
 
     sigma0 = fit_result.sigma0
+    perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
     oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat, sigma0)
     max_abs_deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
 
@@ -174,12 +177,12 @@ def perturbation_probe(
         alpha = np.asarray(fit_result.alpha_hat, dtype=float)
         b = np.asarray(fit_result.b_hat, dtype=float)
         u1 = np.asarray(fit_result.u1_hat, dtype=float)
+        legacy_shift = data.x1.mean(axis=1, keepdims=True) if perturb_alpha else 0.0
     else:
-        view_data, alpha, b, u1 = _whitened_view(data, fit_result, sigma0)
+        view_data, alpha, b, u1, legacy_shift = _whitened_view(data, fit_result, sigma0)
 
     base = _olse_objective(view_data, alpha, b, u1)
     slack = PERTURBATION_SLACK * max(1.0, base)
-    perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
     u1_spread = 1.0 + np.abs(u1)
     u1_t = np.empty(u1.shape)
     violations = 0
@@ -197,11 +200,7 @@ def perturbation_probe(
         if _olse_objective(view_data, alpha_t, b_t, u1_t) < base - slack:
             violations += 1
 
-    if fit_result.kind is ModelKind.INTERCEPT:
-        legacy = u1 - view_data.x1.mean(axis=1, keepdims=True)
-    else:
-        legacy = u1
-    legacy_objective_excess = _olse_objective(view_data, alpha, b, legacy) - base
+    legacy_objective_excess = _olse_objective(view_data, alpha, b, u1 - legacy_shift) - base
 
     # only free parameters must be stationary: the intercept is a known
     # constant in the no-intercept model, so its coordinates are excluded

@@ -1,7 +1,9 @@
-"""One scatter matrix and one eigendecomposition per fitted dataset: every
-consumer of a fit (legacy means, the consistency sweep, the verify suite)
-reuses the eigenstructure the fit computed."""
+"""One scatter matrix, one eigendecomposition and one pass of row means per
+fitted dataset: every consumer of a fit (legacy means, the consistency sweep,
+the verify suite) reuses the eigenstructure the fit computed, and every
+estimator the data's cached row means."""
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -90,3 +92,30 @@ def test_legacy_means_rejects_a_fit_of_other_data():
         ev.legacy_means(data, dense, ev.fit(data, spec))
     with pytest.raises(ev.ValidationError):
         ev.legacy_means(data, spec, ev.fit(data, dense))
+
+
+def mean_calls(action) -> int:
+    """The number of ``ndarray.mean`` calls ``action()`` makes, counted as the
+    calls into numpy's Python-level ``_methods._mean``."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "_mean" and code.co_filename.endswith("_methods.py"):
+            calls.append(code)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("kind, passes", [(INTERCEPT, 2), (NO_INTERCEPT, 0)])
+@pytest.mark.parametrize("with_sigma0", [False, True])
+def test_fit_and_legacy_means_take_the_row_means_once(kind, passes, with_sigma0):
+    data = ev.generate_dataset(ev.random_truth(9, 5, kind, p=3, r=2, n=20))
+    spec = ev.ModelSpec(kind=kind, sigma0=dense_sigma0(5) if with_sigma0 else None)
+    # one mean per block, x1 and x2, for the intercept model; none without one
+    assert mean_calls(lambda: ev.legacy_means(data, spec, ev.fit(data, spec))) == passes

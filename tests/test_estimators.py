@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import eivreg as ev
 from eivreg import estimators, invariants
-from eivreg.model_core import EigenStructure
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -27,6 +26,11 @@ def dsb_eigenstructure():
     return ev.signal_eigenstructure(ev.scatter_matrix(dsb(), INTERCEPT), p=1)
 
 
+def rotate_signal(es, o):
+    """The eigenstructure of the same signal subspace in the basis G_s o."""
+    return dataclasses.replace(es, g11=es.g11 @ o, g21=es.g21 @ o, left=o.T @ es.left)
+
+
 def noisy_instance(seed=42, index=0, kind=INTERCEPT):
     truth = ev.random_truth(seed, index, kind)
     return truth, ev.generate_dataset(truth)
@@ -41,9 +45,8 @@ def test_estimate_b_golden():
 
 
 def test_estimate_b_identity_basis_gives_zero():
-    es = EigenStructure.from_decomposition(
-        np.diag([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0], np.eye(3), p=2
-    )
+    es = ev.signal_eigenstructure(np.diag([3.0, 2.0, 1.0]), p=2)
+    np.testing.assert_array_equal(np.abs(es.g11), np.eye(2))
     np.testing.assert_array_equal(ev.estimate_b(es), np.zeros((1, 2)))
 
 
@@ -54,16 +57,14 @@ def test_estimate_b_invariant_to_signal_basis_rotation():
     p = 2
     es = ev.signal_eigenstructure(w, p)
     o, _ = np.linalg.qr(rng.normal(size=(p, p)))
-    rotated = es.g.copy()
-    rotated[:, :p] = rotated[:, :p] @ o
-    es_rot = EigenStructure.from_decomposition(w, es.eigenvalues, rotated, p)
-    np.testing.assert_allclose(ev.estimate_b(es), ev.estimate_b(es_rot), atol=1e-9)
+    np.testing.assert_allclose(ev.estimate_b(es), ev.estimate_b(rotate_signal(es, o)), atol=1e-9)
 
 
 def test_estimate_b_rejects_ill_conditioned_block():
-    es = EigenStructure.from_decomposition(
-        np.diag([0.0, 2.0]), [2.0, 0.0], np.eye(2)[:, ::-1], p=1
-    )
+    # a signal direction with a predictor component of 1e-13: g11 is tiny but not zero
+    direction = np.array([1e-13, 1.0])
+    es = ev.signal_eigenstructure(2.0 * np.outer(direction, direction), p=1)
+    assert estimators.G11_CONDITION_LIMIT < es.g11_condition < np.inf
     with pytest.raises(ev.UnidentifiableError):
         ev.estimate_b(es)
 
@@ -482,12 +483,9 @@ def test_u1_corrected_invariant_to_basis_rotation():
     es = ev.signal_eigenstructure(ev.scatter_matrix(data, INTERCEPT), data.p)
     rng = np.random.default_rng(4)
     o, _ = np.linalg.qr(rng.normal(size=(data.p, data.p)))
-    rotated = es.g.copy()
-    rotated[:, : data.p] = rotated[:, : data.p] @ o
-    es_rot = EigenStructure.from_decomposition(es.w, es.eigenvalues, rotated, data.p)
     np.testing.assert_allclose(
         ev.estimate_u1_corrected(data, es, INTERCEPT),
-        ev.estimate_u1_corrected(data, es_rot, INTERCEPT),
+        ev.estimate_u1_corrected(data, rotate_signal(es, o), INTERCEPT),
         atol=1e-9,
     )
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import eivreg as ev
-from eivreg.model_core import EigenStructure
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -39,6 +38,14 @@ def test_observed_data_is_immutable():
     data = dsb()
     with pytest.raises(ValueError):
         data.x1[0, 0] = 7.0
+
+
+def test_row_means_are_cached_and_read_only():
+    data = ev.ObservedData(x1=[[0.0, 1.0, 2.0], [4.0, 4.0, 7.0]], x2=[[1.0, 3.0, 5.0]])
+    np.testing.assert_array_equal(data.row_means, [1.0, 5.0, 3.0])
+    assert data.row_means is data.row_means
+    with pytest.raises(ValueError):
+        data.row_means[0] = 7.0
 
 
 def test_model_spec_rejects_asymmetric_sigma0():
@@ -150,8 +157,9 @@ def test_eigenstructure_golden_two_by_two():
     es = ev.signal_eigenstructure([[2.0, 4.0], [4.0, 8.0]], p=1)
     np.testing.assert_allclose(es.eigenvalues, [10.0, 0.0], atol=1e-12)
     direction = np.array([1.0, 2.0]) / np.sqrt(5.0)
-    sign = np.sign(es.g[0, 0])
-    np.testing.assert_allclose(es.g[:, 0], sign * direction, atol=1e-12)
+    basis = np.vstack([es.g11, es.g21])
+    np.testing.assert_allclose(basis[:, 0], np.sign(es.g11[0, 0]) * direction, atol=1e-12)
+    np.testing.assert_array_equal(es.left, basis.T)
     # response/predictor blocks share the eigenvector's sign
     assert es.g21[0, 0] / es.g11[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert es.eigengap == pytest.approx(10.0)
@@ -166,7 +174,8 @@ def test_eigenstructure_identity_is_degenerate():
 
 def test_eigenstructure_diagonal():
     es = ev.signal_eigenstructure(np.diag([5.0, 1.0]), p=1)
-    np.testing.assert_allclose(np.abs(es.g), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(np.abs(es.g11), [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(es.g21, [[0.0]], atol=1e-12)
     assert es.eigengap == pytest.approx(4.0)
     assert not es.degenerate
 
@@ -178,14 +187,18 @@ def test_eigenstructure_invariants_random():
         a = rng.normal(size=(m, m + 3))
         w = a @ a.T
         es = ev.signal_eigenstructure(w, p)
-        np.testing.assert_allclose(es.g.T @ es.g, np.eye(m), atol=1e-10)
         np.testing.assert_allclose(
-            es.g @ np.diag(es.eigenvalues) @ es.g.T,
-            w,
+            es.eigenvalues, np.linalg.eigvalsh(w)[::-1], rtol=0, atol=1e-12 * np.max(np.abs(w))
+        )
+        assert np.all(es.eigenvalues >= -1e-9 * np.max(np.abs(w)))
+        # the signal basis is orthonormal and spans the top p eigenvectors
+        np.testing.assert_allclose(es.left @ es.left.T, np.eye(p), atol=1e-10)
+        np.testing.assert_allclose(
+            es.left @ w @ es.left.T,
+            np.diag(es.eigenvalues[:p]),
             atol=1e-9 * max(1.0, np.max(np.abs(w))),
         )
-        assert np.all(np.diff(es.eigenvalues) <= 1e-12)
-        assert np.all(es.eigenvalues >= -1e-9 * np.max(np.abs(w)))
+        np.testing.assert_array_equal(es.left, np.vstack([es.g11, es.g21]).T)
         np.testing.assert_allclose(
             es.g11.T @ es.g11 + es.g21.T @ es.g21, np.eye(p), atol=1e-10
         )
@@ -206,8 +219,24 @@ def test_eigenstructure_rejects_asymmetric():
 
 
 def test_eigenstructure_rejects_bad_p():
-    with pytest.raises(ev.ValidationError):
-        ev.signal_eigenstructure(np.eye(3), p=3)
+    for p in (0, 3):
+        with pytest.raises(ev.ValidationError):
+            ev.signal_eigenstructure(np.diag([3.0, 2.0, 1.0]), p=p)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_eigenstructure_rejects_non_finite(entry):
+    # rejected before the symmetry test, which would warn on inf - inf
+    with pytest.raises(ev.ValidationError, match="non-finite"):
+        ev.signal_eigenstructure([[entry, 0.0], [0.0, 1.0]], p=1)
+    with pytest.raises(ev.ValidationError, match="non-finite"):
+        ev.signal_eigenstructure([[1.0, entry], [entry, 1.0]], p=1)
+
+
+def test_eigenstructure_rejects_non_square():
+    for w in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ev.ValidationError, match="square"):
+            ev.signal_eigenstructure(w, p=1)
 
 
 def test_vertical_signal_is_unidentifiable():
@@ -218,9 +247,8 @@ def test_vertical_signal_is_unidentifiable():
         ev.estimate_b(es)
 
 
-def test_from_decomposition_blocks():
-    g = np.eye(3)
-    es = EigenStructure.from_decomposition(np.diag([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0], g, p=2)
+def test_signal_eigenstructure_blocks():
+    es = ev.signal_eigenstructure(np.diag([3.0, 2.0, 1.0]), p=2)
     assert es.g11.shape == (2, 2)
     assert es.g21.shape == (1, 2)
     assert es.g11_condition == pytest.approx(1.0)

@@ -182,6 +182,22 @@ def test_probe_sigma0_aware():
     assert report.passed
 
 
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_probe_legacy_excess_is_the_weighted_mean_shift(shape):
+    # the fit's residual rows sum to zero, so moving every mean point by
+    # d = [xbar1; B xbar1] raises the objective by exactly n d' sigma0^{-1} d
+    sigma0 = None if shape is None else random_spd(np.random.default_rng(6), 5)
+    for index in range(3):
+        truth = ev.random_truth(5, index, INTERCEPT, p=3, r=2, n=200, sigma0=sigma0)
+        data = ev.generate_dataset(truth)
+        result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
+        report = ev.perturbation_probe(data, result, trials=1, scale=1e-3, seed=0)
+        x1_mean = data.x1.mean(axis=1)
+        d = np.concatenate([x1_mean, result.b_hat @ x1_mean])
+        weighted = d if sigma0 is None else np.linalg.solve(sigma0, d)
+        assert report.legacy_objective_excess == pytest.approx(data.n * d @ weighted, rel=1e-9)
+
+
 def test_probe_deterministic():
     _, data = noisy_instance(seed=66, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
