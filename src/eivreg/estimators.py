@@ -67,12 +67,21 @@ def estimate_b(es: EigenStructure) -> np.ndarray:
     ``G11_CONDITION_LIMIT``, the one identifiability check for every
     covariance shape. Solves g11' Z' = g21' rather than inverting g11.
     """
-    if es.g11_condition > G11_CONDITION_LIMIT:
+    b_hat, unidentifiable = _slopes(es)
+    if unidentifiable:
         raise UnidentifiableError(
             f"predictor block of the signal basis is too ill-conditioned "
             f"(condition estimate {es.g11_condition:.3e})"
         )
-    return _graph_slope(es.g11, es.g21)
+    return b_hat
+
+
+def _slopes(es: EigenStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes of a (stacked) eigenstructure and the mask of those past the
+    limit, whose g11 is replaced by I so that they cannot fail the solve."""
+    unidentifiable = np.asarray(es.g11_condition) > G11_CONDITION_LIMIT
+    top = np.where(unidentifiable[..., None, None], np.eye(es.g11.shape[-1]), es.g11)
+    return _graph_slope(top, es.g21), unidentifiable
 
 
 def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
@@ -93,9 +102,14 @@ def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKin
     and the legacy form is already correct.
     """
     u1 = legacy_u1(data, es, kind)
-    if kind is ModelKind.INTERCEPT:
-        u1 += data.row_means[: data.p, None]
-    return u1
+    return _with_mean_shift(u1, data, kind, out=u1)
+
+
+def _with_mean_shift(legacy, data: ObservedData, kind: ModelKind, out=None) -> np.ndarray:
+    """Corrected from legacy mean vectors: plus the predictor row means for
+    the intercept model, unchanged without one."""
+    shifted = kind is ModelKind.INTERCEPT
+    return np.add(legacy, data.row_means[..., : data.p, None], out=out) if shifted else legacy
 
 
 def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
@@ -118,7 +132,8 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     are read from the signal basis in data coordinates, so one expression
     serves every covariance shape. P1 X1 + P2 X2 is formed on the raw blocks
     and P xbar subtracted as one p-vector, so the data is neither centered
-    nor copied.
+    nor copied. Blocks and eigenstructure with matching leading axes give
+    one estimate per leading index.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
@@ -126,10 +141,10 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     the defect can be demonstrated and reported side by side.
     """
     proj = es.g11 @ es.left
-    u1 = proj[:, : data.p] @ data.x1
-    u1 += proj[:, data.p :] @ data.x2
+    u1 = proj[..., : data.p] @ data.x1
+    u1 += proj[..., data.p :] @ data.x2
     if kind is ModelKind.INTERCEPT:
-        u1 -= proj @ data.row_means[:, None]
+        u1 -= proj @ data.row_means[..., None]
     return u1
 
 
@@ -196,7 +211,7 @@ def _graph_slope(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """Slope of the graph form of a subspace basis: bottom block times the
     inverse of the top block, via a linear solve."""
     try:
-        return np.linalg.solve(top.T, bottom.T).T
+        return np.linalg.solve(top.mT, bottom.mT).mT
     except np.linalg.LinAlgError as exc:
         raise UnidentifiableError("predictor block of the signal basis is singular") from exc
 
@@ -228,14 +243,21 @@ def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     _validate_for_fit(data, spec)
     if spec.sigma0 is not None:
         return _fit_whitened(data, spec.kind, spec.sigma0)
-    es = signal_eigenstructure(scatter_matrix(data, spec.kind), data.p)
-    return _assemble(data, spec.kind, es)
+    return _assemble(data, spec.kind, _eigenstructure(data, spec.kind))
 
 
 def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> FitResult:
+    return _assemble(data, kind, _eigenstructure(data, kind, sigma0), sigma0)
+
+
+def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenStructure:
+    """Eigenstructure of the scatter of (each stacked dataset in) ``data``,
+    whitened as sigma0^{-1/2} W sigma0^{-1/2} under a known shape."""
+    w = scatter_matrix(data, kind)
+    if sigma0 is None:
+        return signal_eigenstructure(w, data.p)
     roots = sigma0_symmetric_roots(sigma0)
-    w = roots[1] @ scatter_matrix(data, kind) @ roots[1].T
-    return _assemble(data, kind, signal_eigenstructure(w, data.p, roots), sigma0)
+    return signal_eigenstructure(roots[1] @ w @ roots[1].T, data.p, roots)
 
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:

@@ -375,13 +375,9 @@ def consistency_table(report: ConsistencyReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["n", "b_error_median", "u1_rmse_corrected", "u1_rmse_legacy"])
-    for i, n in enumerate(report.n_grid):
-        writer.writerow([
-            n,
-            repr(report.b_error_median[i]),
-            repr(report.u1_rmse_corrected[i]),
-            repr(report.u1_rmse_legacy[i]),
-        ])
+    for n, *errors in zip(report.n_grid, report.b_error_median, report.u1_rmse_corrected,
+                          report.u1_rmse_legacy):
+        writer.writerow([n, *map(repr, errors)])
     return buffer.getvalue()
 
 
@@ -619,8 +615,7 @@ def _cmd_simulate(args) -> int:
         "kind": kind.value,
     })
     if args.output is None:
-        sys.stdout.write(table)
-        sys.stdout.write(summary)
+        sys.stdout.write(table + summary)
     else:
         _write_output(table, args.output)
         _write_output(summary, args.output + ".json")

@@ -30,22 +30,13 @@ class ModelKind(Enum):
     INTERCEPT = "intercept"
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    """Return a read-only float64 copy of a 2-D array with finite entries."""
+def _as_matrix(value, name: str, ndim: int = 2) -> np.ndarray:
+    """Return a read-only float64 copy of a 2-D array (1-D with ``ndim=1``)
+    with finite entries."""
     arr = np.array(value, dtype=float, copy=True)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    """Return a read-only float64 copy of a 1-D array with finite entries."""
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-D vector, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        shape = "matrix" if ndim == 2 else "vector"
+        raise ValidationError(f"{name} must be a {ndim}-D {shape}, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -82,21 +73,21 @@ class ObservedData:
 
     @property
     def p(self) -> int:
-        return self.x1.shape[0]
+        return self.x1.shape[-2]
 
     @property
     def r(self) -> int:
-        return self.x2.shape[0]
+        return self.x2.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.x1.shape[1]
+        return self.x1.shape[-1]
 
     @cached_property
     def row_means(self) -> np.ndarray:
         """The row means of x1 followed by those of x2, a read-only
         (p+r)-vector computed on first use; the blocks are read-only too."""
-        means = np.concatenate([self.x1.mean(axis=1), self.x2.mean(axis=1)])
+        means = np.concatenate([self.x1.mean(axis=-1), self.x2.mean(axis=-1)], axis=-1)
         means.setflags(write=False)
         return means
 
@@ -149,7 +140,8 @@ class EigenStructure:
     the p-th and (p+1)-th eigenvalues. ``g11_condition``,
     |sigma0^{1/2}|_2 / sigma_min(g11), bounds the condition number of ``g11``
     (no block of the basis has a singular value above |sigma0^{1/2}|_2) and
-    does not change when sigma0 is scaled. ``signal_eigenstructure`` builds it.
+    does not change when sigma0 is scaled. ``signal_eigenstructure`` builds
+    it; the last three fields are numpy scalars, or arrays for a stack.
     """
 
     eigenvalues: np.ndarray
@@ -168,14 +160,15 @@ def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     once into one (p+r)-by-n buffer whose outer product with itself is W, so
     symmetry and positive semidefiniteness hold by construction (the result
     is symmetrized to absorb roundoff). ``ObservedData`` holds finite copies.
+    Blocks with leading axes give one W per leading index.
     """
-    centered = np.empty((data.p + data.r, data.n))
-    intercept = kind is ModelKind.INTERCEPT
-    shift = data.row_means[:, None] if intercept else np.zeros((data.p + data.r, 1))
-    np.subtract(data.x1, shift[: data.p], out=centered[: data.p])
-    np.subtract(data.x2, shift[data.p :], out=centered[data.p :])
-    w = centered @ centered.T
-    return (w + w.T) / 2.0
+    p, m = data.p, data.p + data.r
+    centered = np.empty(data.x1.shape[:-2] + (m, data.n))
+    shift = data.row_means[..., None] if kind is ModelKind.INTERCEPT else np.zeros((m, 1))
+    np.subtract(data.x1, shift[..., :p, :], out=centered[..., :p, :])
+    np.subtract(data.x2, shift[..., p:, :], out=centered[..., p:, :])
+    w = centered @ centered.mT
+    return (w + w.mT) / 2.0
 
 
 def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
@@ -187,47 +180,49 @@ def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
     from a whitened ``w`` (see ``EigenStructure``). Warns with
     ``DegenerateSubspaceWarning`` when the eigengap at the signal/noise cut
     vanishes relative to the leading eigenvalue; ``estimate_b`` decides
-    whether the slope is computable.
+    whether the slope is computable. A stack of matrices gives one of each
+    field per matrix, and warns if any of them is degenerate.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ValidationError(f"w must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("w contains non-finite entries")
-    if not 1 <= p < w.shape[0]:
-        raise ValidationError(f"p must satisfy 1 <= p < {w.shape[0]}, got {p}")
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if float(np.max(np.abs(w - w.T))) > 1e-10 * scale:
+    if not 1 <= p < w.shape[-1]:
+        raise ValidationError(f"p must satisfy 1 <= p < {w.shape[-1]}, got {p}")
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1)))
+    if np.any(np.max(np.abs(w - w.mT), axis=(-2, -1)) > 1e-10 * scale):
         raise ValidationError("w is not symmetric to 1e-10 relative")
-    eigenvalues, g = np.linalg.eigh((w + w.T) / 2.0)
+    eigenvalues, g = np.linalg.eigh((w + w.mT) / 2.0)
     # stable sort keeps the solver's tie order for repeated eigenvalues
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    signal = g[:, order][:, :p]
-    basis, left, root_norm = signal, signal.T, 1.0
+    order = np.argsort(-eigenvalues, axis=-1, kind="stable")
+    eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
+    signal = np.take_along_axis(g, order[..., None, :], axis=-1)[..., :p]
+    basis, left, root_norm = signal, signal.mT, 1.0
     if roots is not None:
-        basis, left = roots[0] @ signal, signal.T @ roots[1]
+        basis, left = roots[0] @ signal, signal.mT @ roots[1]
         root_norm = float(np.linalg.norm(roots[0], 2))
-    g11 = basis[:p].copy()
-    g21 = basis[p:].copy()
+    g11 = basis[..., :p, :].copy()
+    g21 = basis[..., p:, :].copy()
     for array in (eigenvalues, g11, g21, left):
         array.setflags(write=False)
-    eigengap = float(eigenvalues[p - 1] - eigenvalues[p])
-    degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * float(eigenvalues[0])
-    if degenerate:
+    eigengap = eigenvalues[..., p - 1] - eigenvalues[..., p]
+    degenerate = eigengap <= DEGENERATE_EIGENGAP_RTOL * eigenvalues[..., 0]
+    if np.any(degenerate):
+        gap, lead = (np.ravel(a)[np.argmax(degenerate)] for a in (eigengap, eigenvalues[..., 0]))
         warnings.warn(
-            "signal subspace not uniquely determined "
-            f"(eigengap {eigengap:.3e} at leading eigenvalue {float(eigenvalues[0]):.3e})",
-            DegenerateSubspaceWarning,
-            stacklevel=2,
+            f"signal subspace not uniquely determined (eigengap {gap:.3e} at leading "
+            f"eigenvalue {lead:.3e})", DegenerateSubspaceWarning, stacklevel=2,
         )
-    sigma_min = float(np.linalg.svd(g11, compute_uv=False)[-1])
+    sigma_min = np.linalg.svd(g11, compute_uv=False)[..., -1]
+    with np.errstate(divide="ignore"):
+        g11_condition = root_norm / sigma_min
     return EigenStructure(
         eigenvalues=eigenvalues,
         g11=g11,
         g21=g21,
         left=left,
         eigengap=eigengap,
-        g11_condition=float(np.inf) if sigma_min == 0.0 else root_norm / sigma_min,
+        g11_condition=g11_condition,
         degenerate=degenerate,
     )

@@ -14,17 +14,17 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import fit, legacy_means
-from .exceptions import (
-    ExcessiveSkipsError,
-    NotPositiveDefiniteError,
-    UnidentifiableError,
-    ValidationError,
-)
-from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix, _as_vector
+from .estimators import _eigenstructure, _slopes, _with_mean_shift, legacy_u1
+from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 2)
+from .exceptions import ExcessiveSkipsError, NotPositiveDefiniteError, ValidationError
+from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix
 
 # Share of replicates that may be skipped before an experiment fails.
 MAX_SKIP_FRACTION = 0.10
+
+# Elements (replicates x (p+r) x n) a sweep draws and fits as one stack: the
+# per-call cost is shared by the stack, and memory stays flat in the replicates.
+_CHUNK_ELEMENTS = 2**14
 
 # Square-free integers whose roots drive the per-dimension additive sequences.
 _GRID_IRRATIONALS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,7 +59,7 @@ class SyntheticTruth:
     def __post_init__(self):
         object.__setattr__(self, "u1", _as_matrix(self.u1, "u1"))
         object.__setattr__(self, "b", _as_matrix(self.b, "b"))
-        object.__setattr__(self, "alpha", _as_vector(self.alpha, "alpha"))
+        object.__setattr__(self, "alpha", _as_matrix(self.alpha, "alpha", ndim=1))
         if self.b.shape != (self.alpha.size, self.u1.shape[0]):
             raise ValidationError(
                 f"b shape {self.b.shape} does not match (r, p) = "
@@ -125,24 +125,33 @@ def generate_dataset(truth: SyntheticTruth) -> ObservedData:
     Errors have mean zero and covariance sigma2 times the covariance shape,
     regardless of the chosen distribution. Deterministic given the seed.
     """
-    u2 = truth.alpha[:, None] + truth.b @ truth.u1
-    u = np.vstack([truth.u1, u2])
+    x = _draw(truth, [truth.seed])[0]
+    return ObservedData(x1=x[: truth.p], x2=x[truth.p :])
+
+
+def _draw(truth: SyntheticTruth, seeds) -> np.ndarray:
+    """The (len(seeds), p+r, n) stack of datasets of ``truth``, one per seed:
+    the true means plus the error columns drawn from that seed's stream."""
+    u = np.vstack([truth.u1, truth.alpha[:, None] + truth.b @ truth.u1])
+    stack = np.empty((len(seeds),) + u.shape)
     if truth.sigma2 == 0.0:
-        return ObservedData(x1=u[: truth.p], x2=u[truth.p :])
-    rng = np.random.default_rng(truth.seed)
-    m = truth.p + truth.r
-    if truth.error_kind is ErrorKind.GAUSSIAN:
-        z = rng.standard_normal((m, truth.n))
-    else:
-        # centered uniform with unit variance
-        z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(m, truth.n))
+        stack[...] = u
+        return stack
+    for z, seed in zip(stack, seeds):
+        rng = np.random.default_rng(seed)
+        if truth.error_kind is ErrorKind.GAUSSIAN:
+            rng.standard_normal(out=z)
+        else:
+            # centered uniform with unit variance
+            z[...] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=u.shape)
     if truth.sigma0 is not None:
         try:
-            z = np.linalg.cholesky(truth.sigma0) @ z
+            stack = np.linalg.cholesky(truth.sigma0) @ stack
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("sigma0 is not positive definite") from exc
-    x = u + np.sqrt(truth.sigma2) * z
-    return ObservedData(x1=x[: truth.p], x2=x[truth.p :])
+    stack *= np.sqrt(truth.sigma2)
+    stack += u
+    return stack
 
 
 def random_truth(
@@ -187,8 +196,7 @@ def random_truth(
 def _template_grid(template_u1: np.ndarray, n: int) -> np.ndarray:
     """True means at a new sample size, spread over each template row's range
     so the centered row scatter stays bounded away from singular."""
-    p = template_u1.shape[0]
-    base = (default_mean_grid(p, n) + 1.0) / 2.0
+    base = (default_mean_grid(template_u1.shape[0], n) + 1.0) / 2.0
     lo = template_u1.min(axis=1, keepdims=True)
     hi = template_u1.max(axis=1, keepdims=True)
     span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
@@ -198,6 +206,22 @@ def _template_grid(template_u1: np.ndarray, n: int) -> np.ndarray:
 def _require_nonnegative_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+class _Replicates(ObservedData):
+    """k drawn datasets as (k, p, n) and (k, r, n) views, not rechecked."""
+
+    def __post_init__(self):
+        pass
+
+
+def _fit_stack(stack: np.ndarray, spec: ModelSpec, p: int):
+    """Slope, the mask of the unidentifiable, and legacy and corrected means of
+    each dataset in a (k, p+r, n) stack, bit for bit those of ``fit``."""
+    data = _Replicates(x1=stack[:, :p], x2=stack[:, p:])
+    es = _eigenstructure(data, spec.kind, spec.sigma0)
+    legacy = legacy_u1(data, es, spec.kind)
+    return *_slopes(es), legacy, _with_mean_shift(legacy, data, spec.kind)
 
 
 def consistency_experiment(
@@ -215,7 +239,8 @@ def consistency_experiment(
     from (seed, n, replicate), fits the model, and records the slope error
     plus the corrected and legacy mean-estimate errors. Replicates whose fit
     is unidentifiable are skipped and counted; the sweep fails if more than
-    10% are skipped.
+    10% are skipped. Replicates are fitted in stacks under a fixed element
+    budget, with results identical to fitting each one alone.
     """
     _require_nonnegative_seed(seed)
     if replicates < 10:
@@ -223,55 +248,43 @@ def consistency_experiment(
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"n_grid must be strictly increasing, got {grid}")
-    floor = truth_template.p + truth_template.r + 2
-    if grid[0] < floor:
-        raise ValidationError(f"every n must be >= p + r + 2 = {floor}, got {grid[0]}")
+    p, m = truth_template.p, truth_template.p + truth_template.r
+    if grid[0] < m + 2:
+        raise ValidationError(f"every n must be >= p + r + 2 = {m + 2}, got {grid[0]}")
 
     spec = ModelSpec(kind=kind, sigma0=truth_template.sigma0)
-    b_true = truth_template.b
-    medians, rmse_corrected, rmse_legacy = [], [], []
-    skipped = 0
+    levels, skipped = [], 0
     for n in grid:
         u1_n = _template_grid(truth_template.u1, n)
-        b_errors = []
-        corrected_sse = 0.0
-        legacy_sse = 0.0
-        kept = 0
-        for rep in range(replicates):
-            child = int(np.random.SeedSequence([seed, n, rep]).generate_state(1)[0])
-            truth = replace(truth_template, u1=u1_n, seed=child)
-            data = generate_dataset(truth)
-            try:
-                result = fit(data, spec)
-                legacy = legacy_means(data, spec, result)
-            except UnidentifiableError:
-                skipped += 1
-                continue
-            kept += 1
-            b_errors.append(float(np.linalg.norm(result.b_hat - b_true)))
-            corrected_sse += float(np.sum((result.u1_hat - u1_n) ** 2))
-            legacy_sse += float(np.sum((legacy - u1_n) ** 2))
-        if kept == 0:
+        truth = replace(truth_template, u1=u1_n)
+        per_stack = max(1, _CHUNK_ELEMENTS // (m * n))
+        chunks = []
+        for start in range(0, replicates, per_stack):
+            seeds = [int(np.random.SeedSequence([seed, n, rep]).generate_state(1)[0])
+                     for rep in range(start, min(start + per_stack, replicates))]
+            b_hat, unidentifiable, legacy, corrected = _fit_stack(_draw(truth, seeds), spec, p)
+            skipped += int(np.count_nonzero(unidentifiable))
+            # formed as np.linalg.norm and np.sum do per fit; cumsum below totals in replicate order
+            b_diff = (b_hat - truth.b).reshape(len(seeds), -1)
+            sse = [((u1 - u1_n) ** 2).sum(axis=(-2, -1)) for u1 in (corrected, legacy)]
+            chunks.append(np.stack([np.sqrt(np.vecdot(b_diff, b_diff)), *sse])[:, ~unidentifiable])
+        b_errors, *sse = np.concatenate(chunks, axis=1)
+        if b_errors.size == 0:
             # fully skipped level; the global skip check below will fail the sweep
-            medians.append(float("nan"))
-            rmse_corrected.append(float("nan"))
-            rmse_legacy.append(float("nan"))
+            levels.append((float("nan"),) * 3)
             continue
-        entries = kept * truth_template.p * n
-        medians.append(float(np.median(b_errors)))
-        rmse_corrected.append(float(np.sqrt(corrected_sse / entries)))
-        rmse_legacy.append(float(np.sqrt(legacy_sse / entries)))
+        mse = [np.cumsum(errors)[-1] / (b_errors.size * p * n) for errors in sse]
+        levels.append((float(np.median(b_errors)), *(float(np.sqrt(v)) for v in mse)))
 
     total = replicates * len(grid)
     if skipped > MAX_SKIP_FRACTION * total:
-        raise ExcessiveSkipsError(
-            f"{skipped} of {total} replicates were skipped as unidentifiable"
-        )
+        raise ExcessiveSkipsError(f"{skipped} of {total} replicates were skipped as unidentifiable")
+    medians, rmse_corrected, rmse_legacy = zip(*levels)
     return ConsistencyReport(
         n_grid=grid,
-        b_error_median=tuple(medians),
-        u1_rmse_corrected=tuple(rmse_corrected),
-        u1_rmse_legacy=tuple(rmse_legacy),
+        b_error_median=medians,
+        u1_rmse_corrected=rmse_corrected,
+        u1_rmse_legacy=rmse_legacy,
         replicates=replicates,
         seed=seed,
         skipped=skipped,

@@ -99,3 +99,23 @@ def test_traced_identity_fit_records_every_estimator_span(monkeypatch):
     metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
                                     overhead=0.0)
     assert metrics["estimators.scatter_calls"]["value"] == 1
+
+
+def test_traced_simulate_records_the_sweep_span(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        code = io_cli.main(["simulate", "--intercept", "--p", "3", "--r", "2", "--sigma", "0.1",
+                            "--n-grid", "20,1000", "--reps", "10", "--seed", "3",
+                            "--output", str(tmp_path / "sweep.csv")])
+    finally:
+        tracer.close()
+
+    assert code == 0
+    assert "simulate.consistency_experiment" in {span["name"] for span in tracer.spans}
+    metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
+                                    overhead=0.0)
+    assert metrics["simulate.replicate.us"]["value"] > 0.0

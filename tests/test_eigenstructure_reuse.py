@@ -16,16 +16,26 @@ INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
 
 
+def stacked_count(result) -> int:
+    """Matrices a scatter or eigenstructure result stands for: one, or one per
+    index of the leading axes of a stacked call, and never fewer than one."""
+    if isinstance(result, np.ndarray):
+        return max(1, int(np.prod(result.shape[:-2])))
+    return max(1, int(np.prod(result.eigenvalues.shape[:-1])))
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Count scatter and eigenstructure calls wherever the package looks them up."""
+    """Count the matrices scattered and decomposed wherever the package (the
+    sweep included, through ``estimators``) looks those functions up."""
     counts = Counter()
     for name in ("scatter_matrix", "signal_eigenstructure"):
         original = getattr(model_core, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            counts[_name] += stacked_count(result)
+            return result
 
         for module in (estimators, io_cli):
             monkeypatch.setattr(module, name, counted, raising=False)

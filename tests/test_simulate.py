@@ -1,7 +1,11 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import eivreg as ev
+from eivreg import simulate
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -203,3 +207,121 @@ def test_consistency_validation():
         ev.consistency_experiment(template(), (4, 40), 10, seed=1, kind=INTERCEPT)
     with pytest.raises(ev.ValidationError):
         ev.consistency_experiment(template(), (20, 40), 10, seed=-1, kind=INTERCEPT)
+
+
+# ---------------------------------------------------------------------------
+# stacked fits of the sweep
+# ---------------------------------------------------------------------------
+
+def dense_sigma0(m):
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(m, m)))
+    s = (q * np.linspace(0.5, 2.0, m)) @ q.T
+    return (s + s.T) / 2.0
+
+
+def reference_sweep(truth_template, grid, replicates, seed, kind):
+    """The sweep as one ``generate_dataset``, ``fit`` and ``legacy_means`` per replicate."""
+    spec = ev.ModelSpec(kind=kind, sigma0=truth_template.sigma0)
+    medians, rmse_corrected, rmse_legacy = [], [], []
+    skipped = 0
+    for n in grid:
+        u1_n = simulate._template_grid(truth_template.u1, n)
+        b_errors, corrected_sse, legacy_sse = [], 0.0, 0.0
+        for rep in range(replicates):
+            child = int(np.random.SeedSequence([seed, n, rep]).generate_state(1)[0])
+            data = ev.generate_dataset(replace(truth_template, u1=u1_n, seed=child))
+            try:
+                result = ev.fit(data, spec)
+            except ev.UnidentifiableError:
+                skipped += 1
+                continue
+            legacy = ev.legacy_means(data, spec, result)
+            b_errors.append(float(np.linalg.norm(result.b_hat - truth_template.b)))
+            corrected_sse += float(np.sum((result.u1_hat - u1_n) ** 2))
+            legacy_sse += float(np.sum((legacy - u1_n) ** 2))
+        entries = len(b_errors) * truth_template.p * n
+        medians.append(float(np.median(b_errors)))
+        rmse_corrected.append(float(np.sqrt(corrected_sse / entries)))
+        rmse_legacy.append(float(np.sqrt(legacy_sse / entries)))
+    return ev.ConsistencyReport(
+        n_grid=tuple(grid), b_error_median=tuple(medians), u1_rmse_corrected=tuple(rmse_corrected),
+        u1_rmse_legacy=tuple(rmse_legacy), replicates=replicates, seed=seed, skipped=skipped,
+    )
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+@pytest.mark.parametrize("error_kind", list(ev.ErrorKind))
+@pytest.mark.parametrize("shape", ["identity", "dense"])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_stacked_sweep_equals_per_replicate_fits(kind, error_kind, shape, sigma):
+    truth = template(sigma=sigma, error_kind=error_kind,
+                     sigma0=dense_sigma0(4) if shape == "dense" else None)
+    if kind is NO_INTERCEPT:
+        truth = replace(truth, alpha=np.zeros(2))
+    budget = simulate._CHUNK_ELEMENTS
+    # all 11 replicates in one stack; stacks of 3, 3, 3 and 2; one replicate per stack
+    grid = (20, budget // (3 * 4), budget // 4 + 1)
+    report = ev.consistency_experiment(truth, grid, 11, seed=5, kind=kind)
+    assert report == reference_sweep(truth, grid, 11, 5, kind)
+
+
+def test_stacked_sweep_skips_the_replicates_a_single_fit_rejects():
+    # a near-vertical slope: a few replicates per level are unidentifiable
+    truth = ev.SyntheticTruth(u1=ev.default_mean_grid(1, 16), b=np.array([[8e11]]),
+                              alpha=np.zeros(1), sigma2=0.09, seed=2)
+    report = ev.consistency_experiment(truth, (20, 40), 21, seed=2, kind=INTERCEPT)
+    assert report.skipped > 0
+    assert report == reference_sweep(truth, (20, 40), 21, 2, INTERCEPT)
+
+
+def replicate_stack(*blocks):
+    return np.stack([np.vstack(block) for block in blocks])
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+@pytest.mark.parametrize("shape", ["identity", "dense"])
+def test_an_unidentifiable_replicate_is_masked_alone(kind, shape):
+    rng = np.random.default_rng(6)
+    x1 = rng.normal(size=(2, 1, 12)) + 1.0
+    good = [(x, 0.5 + 2.0 * x + 0.1 * rng.normal(size=(1, 12))) for x in x1]
+    # a vertical line through the origin: x1 is zero, so no slope is identifiable
+    vertical = (np.zeros((1, 12)), rng.normal(size=(1, 12)))
+    stack = replicate_stack(good[0], vertical, good[1])
+    spec = ev.ModelSpec(kind=kind, sigma0=dense_sigma0(2) if shape == "dense" else None)
+    with pytest.raises(ev.UnidentifiableError):
+        ev.fit(ev.ObservedData(*vertical), spec)
+
+    b_hat, unidentifiable, legacy, corrected = simulate._fit_stack(stack, spec, 1)
+    assert unidentifiable.tolist() == [False, True, False]
+    for j, block in ((0, good[0]), (2, good[1])):
+        data = ev.ObservedData(*block)
+        result = ev.fit(data, spec)
+        np.testing.assert_array_equal(b_hat[j], result.b_hat)
+        np.testing.assert_array_equal(corrected[j], result.u1_hat)
+        np.testing.assert_array_equal(legacy[j], ev.legacy_means(data, spec, result))
+
+
+def test_a_degenerate_replicate_warns_for_its_stack():
+    rng = np.random.default_rng(7)
+    x1 = rng.normal(size=(1, 4))
+    good = (x1, 2.0 * x1 + 0.1 * rng.normal(size=(1, 4)))
+    # equal variances, no covariance: the scatter is a multiple of I
+    isotropic = (np.array([[1.0, -1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0, -1.0]]))
+    with pytest.warns(ev.DegenerateSubspaceWarning):
+        simulate._fit_stack(replicate_stack(good, isotropic), ev.ModelSpec(kind=INTERCEPT), 1)
+
+
+def sweep_peak_bytes(replicates: int) -> int:
+    truth = template(p=3, r=2)
+    tracemalloc.start()
+    try:
+        ev.consistency_experiment(truth, (1000,), replicates, seed=1, kind=INTERCEPT)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_replicates():
+    sweep_peak_bytes(10)  # first-call allocations of numpy and the package
+    few, many = sweep_peak_bytes(30), sweep_peak_bytes(300)
+    assert abs(many - few) <= 0.10 * few, (few, many)
