@@ -7,11 +7,25 @@ objective with random perturbations. Everything here assembles its own
 objectives and normal equations from the model definition; none of the
 estimator module's closed-form identities are reused, which is what makes the
 agreement checks meaningful.
+
+The probe and the gradient check read the data once. With the mean vectors
+held fixed, both objectives are quadratic in (alpha, B), the expansion behind
+Gleser (1981, Ann. Statist.): a residual E = X2 - alpha 1' - B Z becomes
+E - dTheta M at (alpha + da, B + dB), where M = [1; Z - zbar 1'] and
+dTheta = [da + dB zbar, dB]. Its Gram matrix there follows from E E' and the
+small moments M E' and M M', so each objective value costs O((p + r)^3).
+Expanding around the residual, with Z centred, keeps cancellation relative to
+the objective, not to the magnitude of the data. A probe trial also moves the
+mean vectors, on at most ``PROBE_COLUMNS`` columns of its own choosing, and
+that part of its change is evaluated on those columns alone; the OLSE
+objective is a sum over columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +35,10 @@ from .model_core import ModelKind, ObservedData
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
+# Columns of the mean vectors one probe trial moves; all of them when n is at most this.
+PROBE_COLUMNS = 256
+# Trials the probe draws and evaluates together; bounds its memory whatever the trial count.
+_TRIAL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -73,21 +91,89 @@ def stationarity_limit(glse_objective: float) -> float:
     return 1e-5 * max(1.0, glse_objective)
 
 
-def _olse_objective(data: ObservedData, alpha, b, u1) -> float:
+def _olse_objective(data, alpha, b, u1) -> float:
     """Squared Frobenius norm of the full residual, assembled locally."""
     top = data.x1 - u1
     bottom = data.x2 - np.asarray(alpha, dtype=float)[:, None] - b @ u1
     return float(np.sum(top * top) + np.sum(bottom * bottom))
 
 
-def _glse_objective(data: ObservedData, alpha, b) -> float:
+def _glse_objective(data, alpha, b) -> float:
     """Squared Frobenius norm of the normalized response residual.
 
     Uses the trace identity res' (I + BB')^{-1} res instead of an explicit
     square root; the objective is invariant to that choice.
     """
     res = data.x2 - np.asarray(alpha, dtype=float)[:, None] - b @ data.x1
-    return float(np.sum(res * np.linalg.solve(np.eye(data.r) + b @ b.T, res)))
+    return float(np.sum(res * np.linalg.solve(np.eye(data.x2.shape[0]) + b @ b.T, res)))
+
+
+def _split(x):
+    """Veltkamp's split of doubles into high and low halves of 26 bits each."""
+    scaled = 134217729.0 * x  # 2^27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _mean_residual(x2_mean, alpha, b, z_mean):
+    """x2bar - alpha - B zbar rounded once: each product is split exactly into
+    two doubles (Dekker's two-product), and each row summed by ``math.fsum``."""
+    product = b * z_mean
+    b_high, b_low = _split(b)
+    z_high, z_low = _split(z_mean)
+    error = ((b_high * z_high - product) + b_high * z_low + b_low * z_high) + b_low * z_low
+    return np.array([math.fsum([m, -a, *-p, *-e])
+                     for m, a, p, e in zip(x2_mean, alpha, product, error)])
+
+
+def _expand(x2, alpha, b, z, out):
+    """Write the residual E = X2 - alpha 1' - B Z to ``out`` (which may be
+    x2), and return the mean of the regressors Z and the moments that carry E
+    to any (alpha + da, B + dB): with M = [1; Z - zbar 1'], the cross-moments
+    C = M E' and the Gram matrix Q = M M'.
+
+    E is formed as (X2 - x2bar 1') - B (Z - zbar 1') plus its mean
+    x2bar - alpha - B zbar, rounded once. For data far from the origin the
+    centring subtractions are exact, so E is rounded relative to the spread of
+    the data, not to its offset, and carries no rounding bias common to all
+    columns into the moments.
+    """
+    z_mean = z.mean(axis=1)
+    x2_mean = x2.mean(axis=1)
+    mean = _mean_residual(x2_mean, alpha, b, z_mean)
+    centred = z - z_mean[:, None]
+    np.subtract(x2, x2_mean[:, None], out=out)
+    out -= b @ centred
+    out += mean[:, None]
+    sums = centred.sum(axis=1)
+    cross = np.vstack([out.sum(axis=1), centred @ out.T])
+    gram = np.block([[np.full((1, 1), float(z.shape[1])), sums[None]],
+                     [sums[:, None], centred @ centred.T]])
+    return z_mean, cross, gram
+
+
+def _shift(z_mean, d_alpha, d_b):
+    """dTheta = [da + dB zbar, dB], so that the residual at (alpha + da, B + dB)
+    is E - dTheta M; stacked over the leading axes of the shifts."""
+    return np.concatenate([(d_alpha + d_b @ z_mean)[..., None], d_b], axis=-1)
+
+
+def _gram_change(cross, gram, d_theta):
+    """(E - dTheta M)(E - dTheta M)' - E E', from the moments alone."""
+    moved = d_theta @ cross
+    return d_theta @ gram @ np.swapaxes(d_theta, -1, -2) - moved - np.swapaxes(moved, -1, -2)
+
+
+def _glse_values(data, alpha, b, d_alpha, d_b) -> np.ndarray:
+    """The normalized-residual objective at (alpha + da_t, B + dB_t) for each
+    row t of the shifts, from one pass over the data: the residual at
+    (alpha, B), its Gram matrix and its moments with [1; X1 - xbar1 1']."""
+    residual = np.empty(data.x2.shape)
+    x1_mean, cross, gram = _expand(data.x2, alpha, b, data.x1, residual)
+    grams = residual @ residual.T + _gram_change(cross, gram, _shift(x1_mean, d_alpha, d_b))
+    b_t = b + d_b
+    normal = np.eye(b.shape[0]) + b_t @ np.swapaxes(b_t, -1, -2)
+    return np.trace(np.linalg.solve(normal, grams), axis1=-2, axis2=-1)
 
 
 def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.ndarray:
@@ -96,42 +182,117 @@ def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.
     Returns the gradient estimate over the intercept coordinates followed by
     the slope coordinates in row-major order (length r + r*p). At the fitted
     parameters of a well-conditioned instance every component should vanish
-    to within finite-difference accuracy.
+    to within finite-difference accuracy. The data is read once, into the
+    moments of the residual at (alpha, B); each of the 2(r + rp) objective
+    values then costs O((p + r)^3), whatever n.
     """
     if not 1e-9 <= step <= 1e-3:
         raise ValidationError(f"step must lie in [1e-9, 1e-3], got {step}")
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    theta = np.concatenate([alpha, b.ravel()])
-
-    def objective(t):
-        return _glse_objective(data, t[: alpha.size], t[alpha.size :].reshape(b.shape))
-
-    gradient = np.empty(theta.size)
-    for k in range(theta.size):
-        plus, minus = theta.copy(), theta.copy()
-        plus[k] += step
-        minus[k] -= step
-        gradient[k] = (objective(plus) - objective(minus)) / (2.0 * step)
-    return gradient
+    m = alpha.size + b.size
+    # row k moves coordinate k of (alpha, vec B) by +step, row m + k by -step
+    offsets = np.vstack([np.eye(m), -np.eye(m)]) * step
+    values = _glse_values(data, alpha, b, offsets[:, : alpha.size],
+                          offsets[:, alpha.size :].reshape(2 * m, *b.shape))
+    return (values[:m] - values[m:]) / (2.0 * step)
 
 
-def _whitened_view(data, fit_result, sigma0):
-    """Re-express the data, the fitted triple and the legacy means' shift,
-    the top p rows of sigma0^{-1/2} [xbar1; B xbar1], in whitened
-    coordinates, where the identity-shape least-squares criteria apply."""
-    _, inv_root = sigma0_symmetric_roots(sigma0)
-    xw = inv_root @ data.stacked()
-    wdata = ObservedData(x1=xw[: data.p], x2=xw[data.p :])
-    mapped = inv_root @ np.vstack([np.eye(data.p), fit_result.b_hat])
-    b_white = np.linalg.solve(mapped[: data.p].T, mapped[data.p :].T).T
+def _working_view(data, fit_result):
+    """A writable (p+r)-by-n copy of the data, the fitted triple and the legacy
+    means' shift, in the coordinates where the identity-shape least-squares
+    criteria apply: the data's own, or, under a covariance shape, whitened by
+    sigma0^{-1/2} (the shift is then the top p rows of sigma0^{-1/2}
+    [xbar1; B xbar1])."""
+    p = data.p
+    alpha = np.asarray(fit_result.alpha_hat, dtype=float)
+    b = np.asarray(fit_result.b_hat, dtype=float)
+    u1 = np.asarray(fit_result.u1_hat, dtype=float)
+    intercept = fit_result.kind is ModelKind.INTERCEPT
+    x1_mean = data.x1.mean(axis=1, keepdims=True)
+    if fit_result.sigma0 is None:
+        return data.stacked(), alpha, b, u1, x1_mean if intercept else 0.0
+    _, inv_root = sigma0_symmetric_roots(fit_result.sigma0)
+    work = inv_root @ data.stacked()
+    mapped = inv_root @ np.vstack([np.eye(p), b])
+    b_white = np.linalg.solve(mapped[:p].T, mapped[p:].T).T
     alpha_white, legacy_shift = np.zeros(data.r), 0.0
-    if fit_result.kind is ModelKind.INTERCEPT:
-        alpha_white = wdata.x2.mean(axis=1) - b_white @ wdata.x1.mean(axis=1)
-        x1_mean = data.x1.mean(axis=1, keepdims=True)
-        legacy_shift = inv_root[: data.p] @ np.vstack([x1_mean, fit_result.b_hat @ x1_mean])
-    u_white = inv_root @ np.vstack([fit_result.u1_hat, fit_result.u2_hat])
-    return wdata, alpha_white, b_white, u_white[: data.p], legacy_shift
+    if intercept:
+        alpha_white = work[p:].mean(axis=1) - b_white @ work[:p].mean(axis=1)
+        legacy_shift = inv_root[:p] @ np.vstack([x1_mean, b @ x1_mean])
+    u1_white = inv_root[:p] @ np.vstack([u1, fit_result.u2_hat])
+    return work, alpha_white, b_white, u1_white, legacy_shift
+
+
+def _draw_trials(trials: range, seed, scale, alpha, b, u1, perturb_alpha):
+    """The perturbations of (alpha, B, U1) of the given trials, stacked.
+
+    Trial t draws from its own stream ``default_rng([seed, t])``, in order:
+    the intercept's normal deviates (only when it is perturbed), the slope's,
+    the mean vectors' on k = min(n, PROBE_COLUMNS) columns (a p-by-k block in
+    row-major order), and last, only when n > k, which k distinct columns
+    they move. Each deviate is scaled by ``scale`` times one plus the
+    magnitude of the entry it moves. Returns the shifts of alpha (t, r) and
+    B (t, r, p), the mean-vector shifts (t, p, k) and their columns (t, k).
+    """
+    (p, n), r = u1.shape, b.shape[0]
+    k = min(n, PROBE_COLUMNS)
+    d_alpha = np.zeros((len(trials), r))
+    d_b = np.empty((len(trials), r, p))
+    d_u1 = np.empty((len(trials), p, k))
+    if n <= k:
+        columns = np.broadcast_to(np.arange(n), (len(trials), n))
+    else:
+        columns = np.empty((len(trials), k), dtype=np.intp)
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        if perturb_alpha:
+            rng.standard_normal(out=d_alpha[row])
+        rng.standard_normal(out=d_b[row])
+        rng.standard_normal(out=d_u1[row])
+        if n > k:
+            columns[row] = rng.choice(n, size=k, replace=False)
+    for shift, value in ((d_alpha, alpha), (d_b, b)):
+        shift *= scale
+        shift *= 1.0 + np.abs(value)
+    d_u1 *= scale
+    d_u1 *= 1.0 + np.abs(np.moveaxis(u1[:, columns], 1, 0))
+    return d_alpha, d_b, d_u1, columns
+
+
+def _trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns) -> np.ndarray:
+    """f(alpha + da_t, B + dB_t, U1 + D_t) - f(alpha, B, U1) for each trial t
+    of the OLSE objective f, where D_t is zero off the columns ``columns[t]``
+    and ``d_u1[t]`` holds it on them. ``residual`` is [X1 - U1; E] at
+    (alpha, B, U1), and ``moments`` are E's moments with [1; U1 - u1bar 1']
+    (``_expand``).
+
+    The moments give the (alpha, B) part of every change exactly. The U1 part
+    is evaluated on each trial's own columns alone.
+    """
+    p = u1.shape[0]
+    u1_mean, cross, gram = moments
+    d_theta = _shift(u1_mean, d_alpha, d_b)
+    changes = np.trace(_gram_change(cross, gram, d_theta), axis1=-2, axis2=-1)
+    # the residual at (alpha + da_t, B + dB_t) on trial t's columns, then the
+    # change of its squared norm as U1 moves by D_t there
+    picked = np.moveaxis(residual[:, columns], 1, 0)
+    centred = np.moveaxis(u1[:, columns], 1, 0) - u1_mean[:, None]
+    moved_bottom = picked[:, p:] - d_theta[..., :1] - d_b @ centred
+    moved = (b + d_b) @ d_u1
+    changes += (d_u1 * (d_u1 - 2.0 * picked[:, :p])).sum(axis=(1, 2))
+    changes += (moved * (moved - 2.0 * moved_bottom)).sum(axis=(1, 2))
+    return changes
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 def perturbation_probe(
@@ -147,68 +308,66 @@ def perturbation_probe(
     """Run the full certification suite against a fit.
 
     Draws ``trials`` random perturbations of the fitted parameters and mean
-    vectors (Gaussian, per-entry standard deviation ``scale`` times one plus
-    the entry magnitude; the intercept is only perturbed when the model has
-    one) and counts perturbations that lower the least-squares objective
-    beyond roundoff slack. Each trial's stream derives deterministically from
-    (seed, trial index), so results do not depend on evaluation order. Also
-    re-derives the mean vectors with the per-column oracle, measures the
-    finite-difference gradient at the fitted parameters, and evaluates how
-    much worse the legacy mean estimate scores.
+    vectors and counts those that lower the least-squares objective beyond
+    roundoff slack, ``PERTURBATION_SLACK`` relative to it. Each entry moves by
+    a Gaussian deviate with standard deviation ``scale`` times one plus the
+    entry's magnitude; the intercept moves only when the model has one, and
+    the mean vectors move on k = min(n, PROBE_COLUMNS) columns per trial, all
+    of them when n <= k. Trial t draws from its own stream
+    ``default_rng([seed, t])``, in order: intercept, slope, mean vectors (a
+    p-by-k block in row-major order), and last, only when n > k, which k
+    distinct columns move. Results do not depend on evaluation order, and for
+    n <= k the stream is that of a probe that moves every column.
+
+    The data is read once into the moments of the residual at the fit, which
+    give each trial's change in the (alpha, B) directions exactly; the change
+    in the mean vectors is evaluated on the trial's columns alone, so the
+    trials cost O(trials * k) on top of one O(n) pass. Also re-derives the
+    mean vectors with the per-column oracle, measures the finite-difference
+    gradient at the fitted parameters, and evaluates how much worse the
+    legacy mean estimate scores; the objective at the fit, at the legacy means
+    and the GLSE objective at the fit are direct O(n) sums.
 
     For a fit under a known covariance shape (``fit_result.sigma0``), the
     deviation check weighs distances by it and the objective-based checks
     run in whitened coordinates, where the fit's least-squares criteria live.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if not scale > 0:
-        raise ValidationError(f"scale must be positive, got {scale}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    _require_count("trials", trials, 1)
+    _require_count("seed", seed, 0)
+    _require_positive("scale", scale)
+    _require_positive("tol", tol)
 
-    sigma0 = fit_result.sigma0
     perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
-    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat, sigma0)
+    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
+                                       fit_result.sigma0)
     max_abs_deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
+    del oracle_u1  # n-sized: keep it out of the later peaks
 
-    if sigma0 is None:
-        view_data = data
-        alpha = np.asarray(fit_result.alpha_hat, dtype=float)
-        b = np.asarray(fit_result.b_hat, dtype=float)
-        u1 = np.asarray(fit_result.u1_hat, dtype=float)
-        legacy_shift = data.x1.mean(axis=1, keepdims=True) if perturb_alpha else 0.0
-    else:
-        view_data, alpha, b, u1, legacy_shift = _whitened_view(data, fit_result, sigma0)
-
-    base = _olse_objective(view_data, alpha, b, u1)
-    slack = PERTURBATION_SLACK * max(1.0, base)
-    u1_spread = 1.0 + np.abs(u1)
-    u1_t = np.empty(u1.shape)
-    violations = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        alpha_t = alpha
-        if perturb_alpha:
-            alpha_t = alpha + rng.normal(size=alpha.shape) * scale * (1.0 + np.abs(alpha))
-        b_t = b + rng.normal(size=b.shape) * scale * (1.0 + np.abs(b))
-        # in place, and in the same rounding order as u1 + z * scale * spread
-        rng.standard_normal(out=u1_t)
-        u1_t *= scale
-        u1_t *= u1_spread
-        u1_t += u1
-        if _olse_objective(view_data, alpha_t, b_t, u1_t) < base - slack:
-            violations += 1
-
-    legacy_objective_excess = _olse_objective(view_data, alpha, b, u1 - legacy_shift) - base
+    work, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
+    # the rows of the working copy, read as the blocks of an ObservedData
+    view = SimpleNamespace(x1=work[: data.p], x2=work[data.p :])
+    base = _olse_objective(view, alpha, b, u1)
+    legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
 
     # only free parameters must be stationary: the intercept is a known
     # constant in the no-intercept model, so its coordinates are excluded
-    gradient = glse_gradient_check(view_data, alpha, b, grad_step)
+    gradient = glse_gradient_check(view, alpha, b, grad_step)
     if not perturb_alpha:
         gradient = gradient[alpha.size :]
     gradient_max_abs = float(np.max(np.abs(gradient)))
-    glse_value = _glse_objective(view_data, alpha, b)
+    glse_value = _glse_objective(view, alpha, b)
+
+    # the working copy now takes the residual at the fit; the trials are drawn
+    # and evaluated a block at a time, so their memory does not grow with trials
+    np.subtract(view.x1, u1, out=view.x1)
+    moments = _expand(view.x2, alpha, b, u1, out=view.x2)
+    slack = PERTURBATION_SLACK * max(1.0, base)
+    violations = 0
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials))
+        draws = _draw_trials(block, seed, scale, alpha, b, u1, perturb_alpha)
+        changes = _trial_changes(work, u1, b, moments, *draws)
+        violations += sum(change < -slack for change in changes.tolist())
 
     passed = (
         max_abs_deviation <= agreement_limit(fit_result.u1_hat, tol)

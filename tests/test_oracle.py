@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,8 +258,234 @@ def test_probe_counts_violations_of_its_seeded_stream(kind, monkeypatch):
                         lambda *args: calls.append(None) or objective(*args))
     report = ev.perturbation_probe(data, wrong, trials=trials, scale=1e-3, seed=9)
     monkeypatch.undo()
-    # the fitted point, one per trial, and the legacy means
-    assert len(calls) == trials + 2
+    # the fitted point and the legacy means; the trials read the moments
+    assert len(calls) == 2
     assert 0 < report.perturbation_violations < trials
     assert report.perturbation_violations == reference_violations(data, wrong, trials, 1e-3, 9)
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the probe on its own moments: the subset stream, accuracy, sensitivity, cost
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("keyword, value", [
+    ("scale", np.inf), ("scale", np.nan), ("scale", -1e-3),
+    ("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+    ("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", -1),
+])
+def test_probe_rejects_inputs_that_make_it_vacuous(keyword, value):
+    # with scale=inf every trial objective is inf or nan and no trial counts
+    data, wrong = off_optimum_fit(INTERCEPT)
+    kwargs = {"trials": 50, "scale": 1e-3, "seed": 1, keyword: value}
+    with pytest.raises(ev.ValidationError):
+        ev.perturbation_probe(data, wrong, **kwargs)
+
+
+def probe_coordinates(data, fit_result):
+    """The data and fitted triple where the probe's identity-shape criteria
+    apply: whitened by sigma0^{-1/2} for a fit under a covariance shape."""
+    alpha, b, u1 = (np.asarray(v, dtype=float)
+                    for v in (fit_result.alpha_hat, fit_result.b_hat, fit_result.u1_hat))
+    if fit_result.sigma0 is None:
+        return data, alpha, b, u1
+    _, inv_root = ev.sigma0_symmetric_roots(fit_result.sigma0)
+    p = data.p
+    white = inv_root @ data.stacked()
+    mapped = inv_root @ np.vstack([np.eye(p), b])
+    b = np.linalg.solve(mapped[:p].T, mapped[p:].T).T
+    if fit_result.kind is INTERCEPT:
+        alpha = white[p:].mean(axis=1) - b @ white[:p].mean(axis=1)
+    u1 = (inv_root @ np.vstack([u1, fit_result.u2_hat]))[:p]
+    return ev.ObservedData(x1=white[:p], x2=white[p:]), alpha, b, u1
+
+
+def direct_violations(data, fit_result, trials, scale, seed, subset=True):
+    """The probe's trials evaluated directly: the O(n) objective at every
+    perturbed point, on the full perturbed matrices. With ``subset`` the mean
+    vectors move on the probe's seeded columns; without, on every column, as
+    the probe's trials did before they were read off moments."""
+    view, alpha, b, u1 = probe_coordinates(data, fit_result)
+    p, n = u1.shape
+    k = min(n, oracle.PROBE_COLUMNS) if subset else n
+    base = oracle._olse_objective(view, alpha, b, u1)
+    slack = oracle.PERTURBATION_SLACK * max(1.0, base)
+    violations = 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        alpha_t = alpha
+        if fit_result.kind is INTERCEPT:
+            alpha_t = alpha + rng.normal(size=alpha.shape) * scale * (1.0 + np.abs(alpha))
+        b_t = b + rng.normal(size=b.shape) * scale * (1.0 + np.abs(b))
+        z = rng.normal(size=(p, k))
+        columns = rng.choice(n, size=k, replace=False) if k < n else np.arange(n)
+        u1_t = u1.copy()
+        u1_t[:, columns] += z * scale * (1.0 + np.abs(u1[:, columns]))
+        if oracle._olse_objective(view, alpha_t, b_t, u1_t) < base - slack:
+            violations += 1
+    return violations
+
+
+def off_optimum_fit_of(n, kind, shape):
+    """``off_optimum_fit`` for a (3, 2) instance of n columns, under no
+    covariance shape or a dense one."""
+    sigma0 = None if shape is None else random_spd(np.random.default_rng(n), 5)
+    truth = ev.random_truth(69, n, kind, p=3, r=2, n=n, sigma0=sigma0)
+    data = ev.generate_dataset(truth)
+    spec = ev.ModelSpec(kind=kind, sigma0=sigma0)
+    result = ev.fit(data, spec)
+    wrong = ev.legacy_means(data, spec, result) if kind is INTERCEPT else data.x1
+    return data, result, dataclasses.replace(result, u1_hat=wrong)
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_probe_counts_violations_of_its_column_subset_stream(kind, shape):
+    data, _, wrong = off_optimum_fit_of(400, kind, shape)
+    assert data.n > oracle.PROBE_COLUMNS
+    report = ev.perturbation_probe(data, wrong, trials=120, scale=1e-3, seed=9)
+    assert 0 < report.perturbation_violations < 120
+    assert report.perturbation_violations == direct_violations(data, wrong, 120, 1e-3, 9)
+
+
+LD = np.longdouble
+
+
+def olse_longdouble(x1, x2, alpha, b, u1):
+    top = x1 - u1
+    bottom = x2 - alpha[:, None] - b @ u1
+    return np.sum(top * top) + np.sum(bottom * bottom)
+
+
+def glse_longdouble(x1, x2, alpha, b):
+    # the 2-by-2 normalizer inverted by its adjugate: linalg takes no long doubles
+    res = x2 - alpha[:, None] - b @ x1
+    s = np.eye(2, dtype=LD) + b @ b.T
+    adjugate = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]])
+    return np.sum(res * (adjugate @ res)) / (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0])
+
+
+# relative errors below this are roundoff in both routes
+ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def assert_no_less_accurate(route, direct, offset):
+    """Worst relative errors of the moment route and the direct double sums at
+    one grid point. At offset 0 no centring subtraction is exact and the
+    moment route's residual takes two more roundings, so the two agree to a
+    bit; away from the origin the centring makes it far more accurate."""
+    assert route <= max(2.0 * direct, ROUNDOFF)
+    assert direct > 1e-10 or route <= 1e-10
+    if offset > 0.0:
+        assert route <= max(0.1 * direct, ROUNDOFF)
+
+
+@pytest.mark.parametrize("noise", [1e-1, 1e-3, 1e-5])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
+def test_moment_route_is_no_less_accurate_than_direct_sums(noise, offset):
+    # random (alpha, B, U1) near data offset from the origin; reference: the
+    # direct sums in long double of the same double inputs
+    p, r, n = 3, 2, 400
+    rng = np.random.default_rng([7, int(np.log10(noise) + 10), int(np.log10(1.0 + offset))])
+    b = rng.normal(size=(r, p))
+    alpha = rng.normal(size=r) + offset
+    u1 = rng.normal(size=(p, n)) + offset
+    data = ev.ObservedData(x1=u1 + noise * rng.normal(size=(p, n)),
+                           x2=alpha[:, None] + b @ u1 + noise * rng.normal(size=(r, n)))
+    wide = [v.astype(LD) for v in (data.x1, data.x2, alpha, b, u1)]
+
+    # probe trials: the change of the OLSE objective
+    d_alpha, d_b, d_u1, columns = oracle._draw_trials(range(8), 3, 1e-3, alpha, b, u1, True)
+    residual = np.empty((p + r, n))
+    np.subtract(data.x1, u1, out=residual[:p])
+    moments = oracle._expand(data.x2, alpha, b, u1, residual[p:])
+    route = oracle._trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns)
+    base = oracle._olse_objective(data, alpha, b, u1)
+    base_wide = olse_longdouble(*wide)
+    route_errors, direct_errors = [], []
+    for t in range(8):
+        moved = u1.copy()
+        moved[:, columns[t]] += d_u1[t]
+        moved_wide = wide[4].copy()
+        moved_wide[:, columns[t]] += d_u1[t]
+        exact = olse_longdouble(*wide[:2], wide[2] + d_alpha[t], wide[3] + d_b[t],
+                                moved_wide) - base_wide
+        direct = oracle._olse_objective(data, alpha + d_alpha[t], b + d_b[t], moved) - base
+        route_errors.append(float(abs(route[t] - exact) / abs(exact)))
+        direct_errors.append(float(abs(direct - exact) / abs(exact)))
+    assert_no_less_accurate(max(route_errors), max(direct_errors), offset)
+
+    # the gradient check's GLSE values, one coordinate moved by +-step each
+    m = r + r * p
+    steps = np.vstack([np.eye(m), -np.eye(m)]) * 1e-6
+    route = oracle._glse_values(data, alpha, b, steps[:, :r], steps[:, r:].reshape(-1, r, p))
+    route_errors, direct_errors = [], []
+    for row, step in enumerate(steps):
+        alpha_t, b_t = alpha + step[:r], b + step[r:].reshape(r, p)
+        exact = glse_longdouble(*wide[:2], wide[2] + step[:r], wide[3] + step[r:].reshape(r, p))
+        direct = oracle._glse_objective(data, alpha_t, b_t)
+        route_errors.append(float(abs(route[row] - exact) / exact))
+        direct_errors.append(float(abs(direct - exact) / exact))
+    assert_no_less_accurate(max(route_errors), max(direct_errors), offset)
+
+
+@pytest.mark.parametrize("n", [50, 2000, 20_000])
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_probe_flags_every_instance_the_full_column_probe_flags(n, shape):
+    # the full-column probe is the direct loop over every column
+    data, result, legacy = off_optimum_fit_of(n, INTERCEPT, shape)
+    instances = [legacy] + [dataclasses.replace(result, b_hat=result.b_hat * (1.0 + delta))
+                            for delta in (1e-3, 1e-2)]
+    for index, instance in enumerate(instances):
+        before = direct_violations(data, instance, 100, 1e-3, index, subset=False)
+        after = ev.perturbation_probe(data, instance, trials=100, scale=1e-3,
+                                      seed=index).perturbation_violations
+        assert after > 0 or before == 0
+    assert direct_violations(data, legacy, 100, 1e-3, 0, subset=False) > 0
+
+
+@pytest.fixture(scope="module")
+def large_fits():
+    """A (3, 2) instance of 10^5 columns with its fits under no covariance
+    shape and under a dense one."""
+    rng = np.random.default_rng(12)
+    sigma0 = random_spd(rng, 5)
+    u1 = rng.normal(size=(3, 100_000)) + 2.0
+    b = rng.normal(size=(2, 3))
+    x = np.vstack([u1, 1.0 + b @ u1]) + 0.3 * np.linalg.cholesky(sigma0) @ rng.normal(size=(5, u1.shape[1]))
+    data = ev.ObservedData(x1=x[:3], x2=x[3:])
+    return data, {shape: ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0_))
+                  for shape, sigma0_ in (("identity", None), ("dense", sigma0))}
+
+
+def probe_peak(data, result, trials):
+    tracemalloc.start()
+    try:
+        ev.perturbation_probe(data, result, trials=trials, scale=1e-3, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_under_sigma0_whitens_into_one_buffer(large_fits):
+    data, fits = large_fits
+    input_size = data.x1.nbytes + data.x2.nbytes
+    assert probe_peak(data, fits["dense"], 200) <= probe_peak(data, fits["identity"], 200) + input_size
+
+
+@pytest.mark.parametrize("shape", ["identity", "dense"])
+def test_probe_cost_does_not_grow_with_trials(large_fits, shape, monkeypatch):
+    data, fits = large_fits
+    calls = {}
+    for name in ("_olse_objective", "_glse_objective"):
+        monkeypatch.setattr(oracle, name, lambda *args, _f=getattr(oracle, name):
+                            calls.__setitem__("n", calls.get("n", 0) + 1) or _f(*args))
+    counts = []
+    for trials in (1, 200):
+        calls["n"] = 0
+        ev.perturbation_probe(data, fits[shape], trials=trials, scale=1e-3, seed=0)
+        counts.append(calls["n"])
+    monkeypatch.undo()
+    assert counts[0] == counts[1] == 3
+    one, many = probe_peak(data, fits[shape], 1), probe_peak(data, fits[shape], 200)
+    assert many <= 1.1 * one
