@@ -25,6 +25,8 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     ObservedData,
+    _column_blocks,
+    _gram,
     scatter_matrix,
     signal_eigenstructure,
 )
@@ -93,15 +95,17 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     return data.row_means[data.p :] - b_hat @ data.row_means[: data.p]
 
 
-def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
+def estimate_u1_corrected(
+    data: ObservedData, es: EigenStructure, kind: ModelKind, out=None
+) -> np.ndarray:
     """Least-squares estimate of the predictor mean vectors, eigenvector route.
 
     For the intercept model this is ``legacy_u1`` plus the mean-shift term
     (the per-row predictor means), the term whose omission makes the legacy
     form incorrect. For the no-intercept model no centering or shift applies
-    and the legacy form is already correct.
+    and the legacy form is already correct. Written into ``out`` if given.
     """
-    u1 = legacy_u1(data, es, kind)
+    u1 = legacy_u1(data, es, kind, out=out)
     return _with_mean_shift(u1, data, kind, out=u1)
 
 
@@ -125,15 +129,16 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
     return np.linalg.solve(np.eye(data.p) + b_hat.T @ b_hat, rhs)
 
 
-def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
+def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind, out=None) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
     P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar
     ``data.row_means`` for the intercept model, zero without one. Both factors
     are read from the signal basis in data coordinates, so one expression
     serves every covariance shape. P1 X1 + P2 X2 is formed on the raw blocks
     and P xbar subtracted as one p-vector, so the data is neither centered
-    nor copied. Blocks and eigenstructure with matching leading axes give
-    one estimate per leading index.
+    nor copied; the estimate is written into ``out`` if given. Blocks and
+    eigenstructure with matching leading axes give one estimate per leading
+    index.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
@@ -141,16 +146,17 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     the defect can be demonstrated and reported side by side.
     """
     proj = es.g11 @ es.left
-    u1 = proj[..., : data.p] @ data.x1
+    u1 = np.matmul(proj[..., : data.p], data.x1, out=out)
     u1 += proj[..., data.p :] @ data.x2
     if kind is ModelKind.INTERCEPT:
         u1 -= proj @ data.row_means[..., None]
     return u1
 
 
-def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
-    """Response mean vectors implied by the model: alpha 1' + B U1."""
-    u2 = np.asarray(b_hat, dtype=float) @ np.asarray(u1_hat, dtype=float)
+def estimate_u2(u1_hat, alpha_hat, b_hat, out=None) -> np.ndarray:
+    """Response mean vectors implied by the model: alpha 1' + B U1, written
+    into ``out`` if given."""
+    u2 = np.matmul(np.asarray(b_hat, dtype=float), np.asarray(u1_hat, dtype=float), out=out)
     u2 += np.asarray(alpha_hat, dtype=float)[:, None]
     return u2
 
@@ -234,8 +240,10 @@ def _validate_for_fit(data: ObservedData, spec: ModelSpec) -> None:
 def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     """Fit the errors-in-variables model and return all estimates.
 
-    Center, form the scatter matrix W, take its eigenstructure, and evaluate
-    the closed forms. A known covariance shape enters only through
+    Two passes over the columns, each in blocks of at most a few thousand:
+    the first forms the scatter matrix W, the second, after W's
+    eigenstructure, evaluates the closed forms. Only the returned mean
+    matrices are n-sized. A known covariance shape enters only through
     (p+r)-by-(p+r) matrices: the eigenstructure is that of
     sigma0^{-1/2} W sigma0^{-1/2}, and its signal basis is mapped back
     through sigma0^{1/2}. The observations are never whitened.
@@ -260,19 +268,38 @@ def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenSt
     return signal_eigenstructure(roots[1] @ w @ roots[1].T, data.p, roots)
 
 
+class _Columns(ObservedData):
+    """Columns ``cols`` of checked data as views, not copied or rechecked,
+    that share its cached row means."""
+
+    def __init__(self, data: ObservedData, cols: slice):
+        object.__setattr__(self, "x1", data.x1[..., cols])
+        object.__setattr__(self, "x2", data.x2[..., cols])
+        object.__setattr__(self, "whole", data)
+
+    @property
+    def row_means(self) -> np.ndarray:
+        return self.whole.row_means
+
+
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
     """The closed forms on the signal basis of ``es``, in data coordinates
-    for every covariance shape. Both objectives come from the Gram matrix
-    G = R R' of the one residual R: OLSE = tr(sigma0^{-1} G) and GLSE =
-    tr(S^{-1} C G C'), as C [I; B] = 0 gives C R = X2 - alpha 1' - B X1 (see
-    ``_graph_complement``). The trailing eigenvalues of W would lose the
-    residual's relative precision as the noise shrinks."""
+    for every covariance shape, evaluated block by block of columns straight
+    into the returned means. Both objectives come from the Gram matrix
+    G = R R' of the residual R, summed over the blocks: OLSE =
+    tr(sigma0^{-1} G) and GLSE = tr(S^{-1} C G C'), as C [I; B] = 0 gives
+    C R = X2 - alpha 1' - B X1 (see ``_graph_complement``). The trailing
+    eigenvalues of W would lose the residual's relative precision as the
+    noise shrinks."""
     b_hat = estimate_b(es)
     alpha_hat = estimate_alpha(b_hat, data, kind)
-    u1_hat = estimate_u1_corrected(data, es, kind)
-    u2_hat = estimate_u2(u1_hat, alpha_hat, b_hat)
-    r_mat = residual_matrix(data, alpha_hat, b_hat, u1_hat)
-    gram = r_mat @ r_mat.T
+    u1_hat, u2_hat = np.empty(data.x1.shape), np.empty(data.x2.shape)
+    gram = np.zeros((data.p + data.r,) * 2)
+    for cols in _column_blocks(data.n):
+        block = _Columns(data, cols)
+        u1 = estimate_u1_corrected(block, es, kind, out=u1_hat[:, cols])
+        estimate_u2(u1, alpha_hat, b_hat, out=u2_hat[:, cols])
+        gram += _gram(residual_matrix(block, alpha_hat, b_hat, u1))
     c, spread = _graph_complement(b_hat, sigma0)
     olse = float(np.trace(gram if sigma0 is None else np.linalg.solve(sigma0, gram)))
     return FitResult(

@@ -22,6 +22,10 @@ from .exceptions import DegenerateSubspaceWarning, NotPositiveDefiniteError, Val
 # (warning only; computation proceeds).
 DEGENERATE_EIGENGAP_RTOL = 1e-10
 
+# Columns per pass of the blocked scatter and fit: a (p+r)-row block of them
+# stays in cache between its writes and its reads.
+_BLOCK = 2**13
+
 
 class ModelKind(Enum):
     """Intercept vs. no-intercept variant of the errors-in-variables model."""
@@ -156,19 +160,40 @@ class EigenStructure:
 def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     """Scatter matrix W of the (centered) stacked observations.
 
-    The blocks, less ``data.row_means`` for the intercept model, are written
-    once into one (p+r)-by-n buffer whose outer product with itself is W, so
-    symmetry and positive semidefiniteness hold by construction (the result
-    is symmetrized to absorb roundoff). ``ObservedData`` holds finite copies.
-    Blocks with leading axes give one W per leading index.
+    At most ``_BLOCK`` columns at a time are copied into one reused buffer,
+    less ``data.row_means`` for the intercept model, and the buffer's Gram
+    is added to W, so W is exactly symmetric. ``ObservedData`` holds finite
+    copies. Observation blocks with leading axes, a stack of datasets, give
+    one W per dataset, bit for bit the W of that dataset alone.
     """
     p, m = data.p, data.p + data.r
-    centered = np.empty(data.x1.shape[:-2] + (m, data.n))
-    shift = data.row_means[..., None] if kind is ModelKind.INTERCEPT else np.zeros((m, 1))
-    np.subtract(data.x1, shift[..., :p, :], out=centered[..., :p, :])
-    np.subtract(data.x2, shift[..., p:, :], out=centered[..., p:, :])
-    w = centered @ centered.mT
-    return (w + w.mT) / 2.0
+    lead = data.x1.shape[:-2]
+    buffer = np.empty(lead + (m, min(data.n, _BLOCK)))
+    w = np.zeros(lead + (m, m))
+    for cols in _column_blocks(data.n):
+        block = buffer[..., : cols.stop - cols.start]
+        block[..., :p, :] = data.x1[..., cols]
+        block[..., p:, :] = data.x2[..., cols]
+        if kind is ModelKind.INTERCEPT:
+            block -= data.row_means[..., None]
+        w += _gram(block)
+    return w
+
+
+def _column_blocks(n: int) -> list[slice]:
+    """Slices of at most ``_BLOCK`` consecutive columns that cover n columns,
+    their widths within one of each other. So no slice is a single column
+    unless n is 1: matmul would take it for a vector, and round it otherwise."""
+    count = -(-n // _BLOCK)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Gram matrix of the rows (of each matrix of a stack), one dot product
+    per pair of rows, so it is exactly symmetric and each matrix of a stack
+    gets the bits it gets alone."""
+    return np.vecdot(rows[..., :, None, :], rows[..., None, :, :])
 
 
 def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:

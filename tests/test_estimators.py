@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivreg as ev
-from eivreg import estimators, invariants
+from eivreg import estimators, invariants, model_core
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -308,11 +308,11 @@ SHAPES = {"identity": None, "dense": random_spd(np.random.default_rng(77), 5)}
 @pytest.mark.parametrize("sigma", [1e-1, 1e-3, 1e-5])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_objectives_match_the_direct_residual_sums(kind, shape, sigma):
+def test_objectives_match_the_direct_residual_sums(kind, shape, sigma, n=2000):
     # the fit takes both objectives from the residual Gram; the trailing
     # eigenvalues of W drift from these sums as the noise shrinks
     sigma0 = SHAPES[shape]
-    truth = ev.random_truth(9, 0, kind, p=3, r=2, n=2000, sigma=sigma, sigma0=sigma0)
+    truth = ev.random_truth(9, 0, kind, p=3, r=2, n=n, sigma=sigma, sigma0=sigma0)
     data = ev.generate_dataset(truth)
     result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
     b, alpha = result.b_hat, result.alpha_hat
@@ -326,6 +326,46 @@ def test_objectives_match_the_direct_residual_sums(kind, shape, sigma):
     glse = np.sum(q * np.linalg.solve(spread, q))
     assert result.olse_objective == pytest.approx(olse, rel=1e-10, abs=0)
     assert result.glse_objective == pytest.approx(glse, rel=1e-10, abs=0)
+
+
+BLOCK = model_core._BLOCK
+
+
+def test_objectives_match_the_direct_residual_sums_over_several_blocks():
+    test_objectives_match_the_direct_residual_sums(INTERCEPT, "dense", 1e-5, n=3 * BLOCK + 7)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_blocked_fit_means_equal_the_whole_data_estimates(kind, shape, n):
+    sigma0 = SHAPES[shape]
+    data = ev.generate_dataset(ev.random_truth(4, 1, kind, p=3, r=2, n=n, sigma0=sigma0))
+    result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
+    u1 = ev.estimate_u1_corrected(data, result.eigenstructure, kind)
+    np.testing.assert_array_equal(result.u1_hat, u1)
+    np.testing.assert_array_equal(result.u2_hat, ev.estimate_u2(u1, result.alpha_hat, result.b_hat))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_allocates_only_its_means_and_one_block(kind, shape):
+    # beyond U1 and U2, a fit holds block-sized buffers whatever n is
+    rng = np.random.default_rng(13)
+    spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
+    excess = []
+    for n in (10**5, 10**6):
+        x1 = rng.normal(size=(3, n)) + 3.0
+        data = ev.ObservedData(x1=x1, x2=rng.normal(size=(2, 3)) @ x1 + 0.1 * rng.normal(size=(2, n)))
+        tracemalloc.start()
+        try:
+            result = ev.fit(data, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - result.u1_hat.nbytes - result.u2_hat.nbytes)
+    assert max(excess) < 1e6
+    assert excess[1] == pytest.approx(excess[0], rel=0.1)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import eivreg as ev
+from eivreg import model_core, simulate
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -133,6 +134,29 @@ def test_scatter_no_intercept_golden():
 def test_scatter_single_column_intercept_is_zero():
     data = ev.ObservedData(x1=[[3.0]], x2=[[7.0]])
     np.testing.assert_array_equal(ev.scatter_matrix(data, INTERCEPT), np.zeros((2, 2)))
+
+
+BLOCK = model_core._BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3 * BLOCK + 5), st.sampled_from(list(ev.ModelKind)),
+       st.integers(0, 2**31 - 1))
+@example(1, INTERCEPT, 0)
+@example(1, NO_INTERCEPT, 0)
+def test_blocked_scatter_is_the_symmetric_centered_gram(n, kind, seed):
+    # W is summed over blocks of columns; a single column goes through it too
+    stack = np.random.default_rng(seed).normal(loc=3.0, size=(3, 5, n))
+    replicates = simulate._Replicates(x1=stack[:, :2], x2=stack[:, 2:])
+    w_stack = ev.scatter_matrix(replicates, kind)
+    for x, w_stacked in zip(stack, w_stack):
+        w = ev.scatter_matrix(ev.ObservedData(x1=x[:2], x2=x[2:]), kind)
+        xc = x - x.mean(axis=1, keepdims=True) if kind is INTERCEPT else x
+        scale = max(1.0, float(np.max(np.abs(w))))
+        assert float(np.max(np.abs(w - xc @ xc.T))) <= 1e-13 * scale
+        np.testing.assert_array_equal(w, w.T)
+        # each dataset of a stack gets the bits it gets alone
+        np.testing.assert_array_equal(w_stacked, w)
 
 
 @settings(max_examples=50, deadline=None)
