@@ -27,6 +27,7 @@ from .model_core import (
     ObservedData,
     _column_blocks,
     _gram,
+    _View,
     scatter_matrix,
     signal_eigenstructure,
 )
@@ -268,20 +269,6 @@ def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenSt
     return signal_eigenstructure(roots[1] @ w @ roots[1].T, data.p, roots)
 
 
-class _Columns(ObservedData):
-    """Columns ``cols`` of checked data as views, not copied or rechecked,
-    that share its cached row means."""
-
-    def __init__(self, data: ObservedData, cols: slice):
-        object.__setattr__(self, "x1", data.x1[..., cols])
-        object.__setattr__(self, "x2", data.x2[..., cols])
-        object.__setattr__(self, "whole", data)
-
-    @property
-    def row_means(self) -> np.ndarray:
-        return self.whole.row_means
-
-
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
     """The closed forms on the signal basis of ``es``, in data coordinates
     for every covariance shape, evaluated block by block of columns straight
@@ -296,7 +283,7 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
     u1_hat, u2_hat = np.empty(data.x1.shape), np.empty(data.x2.shape)
     gram = np.zeros((data.p + data.r,) * 2)
     for cols in _column_blocks(data.n):
-        block = _Columns(data, cols)
+        block = _View(data.x1[:, cols], data.x2[:, cols], data)
         u1 = estimate_u1_corrected(block, es, kind, out=u1_hat[:, cols])
         estimate_u2(u1, alpha_hat, b_hat, out=u2_hat[:, cols])
         gram += _gram(residual_matrix(block, alpha_hat, b_hat, u1))
@@ -323,7 +310,8 @@ def legacy_means(
     """Predictor mean vectors per the legacy formula (``legacy_u1``).
 
     Evaluated on the eigenstructure of ``result``, the fit of ``data`` under
-    ``spec``, without refitting or whitening; without ``result`` the data is
+    ``spec``, without refitting or whitening, over the fit's blocks of
+    columns straight into the returned array; without ``result`` the data is
     fitted first. Corrected minus legacy means is thus exactly the per-row
     predictor means (intercept model) or zero (no-intercept model) under
     every covariance shape. Raises ``ValidationError`` if ``result`` is a fit
@@ -335,4 +323,8 @@ def legacy_means(
     elif (result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape
           or not np.array_equal(result.sigma0, spec.sigma0)):
         raise ValidationError("result is not a fit of this data under this model")
-    return legacy_u1(data, result.eigenstructure, spec.kind)
+    u1 = np.empty(data.x1.shape)
+    for cols in _column_blocks(data.n):
+        block = _View(data.x1[:, cols], data.x2[:, cols], data)
+        legacy_u1(block, result.eigenstructure, spec.kind, out=u1[:, cols])
+    return u1

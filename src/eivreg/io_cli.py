@@ -15,6 +15,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 import warnings
 
@@ -74,12 +75,12 @@ def _csv_rows(path):
         raise ValidationError(f"{path}: not readable as CSV ({exc})") from None
 
 
-def _parse_cells(path, rows, columns, quote_columns=True) -> np.ndarray:
+def _parse_cells(path, rows, columns) -> np.ndarray:
     """Parse rows of CSV cells into a float matrix, one column per label.
 
     Each row must have one cell per column, and each cell must parse with
     ``float`` as a finite real. The first failure raises, naming its 1-based
-    row and its column label (quoted in the message when ``quote_columns``).
+    row and the ``repr`` of its column label: a header name or an index.
     """
     values = np.empty((len(rows), len(columns)))
     for i, row in enumerate(rows, start=1):
@@ -93,12 +94,8 @@ def _parse_cells(path, rows, columns, quote_columns=True) -> np.ndarray:
             except ValueError:
                 value = float("nan")
             if not np.isfinite(value):
-                shown = repr(columns[j]) if quote_columns else columns[j]
-                raise ParseError(
-                    f"{path}: row {i}, column {shown}: {cell.strip()!r} is not a finite real",
-                    row=i,
-                    column=columns[j],
-                )
+                raise ParseError(f"{path}: row {i}, column {columns[j]!r}: {cell.strip()!r} "
+                                 "is not a finite real", row=i, column=columns[j])
             values[i - 1, j] = value
     return values
 
@@ -186,7 +183,7 @@ def read_sigma0(path, size: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"{path}: covariance shape must be {size}x{size} to match p + r"
         )
-    matrix = _parse_cells(path, rows, [str(j + 1) for j in range(size)], quote_columns=False)
+    matrix = _parse_cells(path, rows, range(1, size + 1))
     scale = max(1.0, float(np.max(np.abs(matrix))))
     if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * scale:
         raise ValidationError(f"{path}: covariance shape is asymmetric beyond 1e-8 relative")
@@ -274,64 +271,42 @@ def build_fit_report(
     return report
 
 
-# stands in for a matrix's rows while the rest of a report goes through json
-_ROWS_TOKEN = "@eivreg-matrix-rows@"
-
-
-def _rows_json(data, indent: str):
-    """What ``json.dumps(indent=2)`` writes for ``data`` as the value of a key
-    indented by ``indent``, when ``data`` is a non-empty matrix of finite
-    floats given as lists of rows; None for anything else."""
-    if not isinstance(data, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) for row in data
-    ):
-        return None
-    try:
-        values = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if values.ndim != 2 or values.size == 0 or not np.isfinite(values).all():
-        return None
-    row_indent, cell_indent = indent + "  ", indent + "    "
-    cell_sep = ",\n" + cell_indent
-    try:
-        rows = f"\n{row_indent}],\n{row_indent}[\n{cell_indent}".join(
-            cell_sep.join(map(float.__repr__, row)) for row in data
-        )
-    except TypeError:  # an int, bool or str cell, which json writes its own way
-        return None
-    return f"[\n{row_indent}[\n{cell_indent}{rows}\n{row_indent}]\n{indent}]"
-
-
 def report_to_json(report: dict) -> str:
     """``json.dumps(report, indent=2)`` and a newline, byte for byte.
 
-    The rows of each finite ``"data"`` matrix are written with one join per
-    row instead of the encoder's per-element loop; json writes the rest.
+    Each list of finite floats is written with one join instead of the
+    encoder's per-element loop; json writes every other value and every key.
     """
-    matrices = []
-
-    def swap(node: dict, indent: str) -> dict:
-        out = {}
-        for key, value in node.items():
-            if isinstance(value, dict):
-                value = swap(value, indent + "  ")
-            elif key == "data":
-                text = _rows_json(value, indent)
-                if text is not None:
-                    matrices.append(text)
-                    value = _ROWS_TOKEN
-            out[key] = value
-        return out
-
-    pieces = json.dumps(swap(report, "  "), indent=2).split(f'"{_ROWS_TOKEN}"')
-    if len(pieces) != len(matrices) + 1:  # the report holds the token itself
-        return json.dumps(report, indent=2) + "\n"
-    parts = [pieces[0]]
-    for matrix, piece in zip(matrices, pieces[1:]):
-        parts += (matrix, piece)
+    parts = []
+    _json_parts(report, "", parts)
     parts.append("\n")
     return "".join(parts)
+
+
+def _json_parts(value, indent: str, parts: list) -> None:
+    """Append what ``json.dumps(indent=2)`` writes for ``value`` nested at ``indent``."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        parts.append(json.dumps(value))
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        for i, (key, item) in enumerate(value.items()):
+            # json's own conversion of a str, int, float, bool or None key
+            parts += (",\n" if i else "{\n", inner, json.dumps({key: 0})[1:-4], ": ")
+            _json_parts(item, inner, parts)
+        parts += ("\n", indent, "}")
+        return
+    try:  # float.__repr__ is how json writes a finite float
+        floats = (",\n" + inner).join(map(float.__repr__, value))
+    except TypeError:  # an int, bool, str, None or container item
+        floats = None
+    if floats is not None and all(map(math.isfinite, value)):
+        parts += ("[\n", inner, floats)
+    else:
+        for i, item in enumerate(value):
+            parts += (",\n" if i else "[\n", inner)
+            _json_parts(item, inner, parts)
+    parts += ("\n", indent, "]")
 
 
 def _flatten(prefix: str, value, writer, out) -> None:

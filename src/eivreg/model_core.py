@@ -47,6 +47,28 @@ def _as_matrix(value, name: str, ndim: int = 2) -> np.ndarray:
     return arr
 
 
+def _covariance_shape(value) -> np.ndarray:
+    """A read-only copy of a covariance shape, checked as ``ModelSpec`` states."""
+    s = _as_matrix(value, "sigma0")
+    if s.shape[0] != s.shape[1]:
+        raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
+    scale = max(1.0, float(np.max(np.abs(s))))
+    if float(np.max(np.abs(s - s.T))) > 1e-12 * scale:
+        raise ValidationError("sigma0 is not symmetric to 1e-12 relative")
+    eigenvalues = np.linalg.eigvalsh((s + s.T) / 2.0)
+    if eigenvalues[0] <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"sigma0 is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
+        )
+    return s
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Reject anything but a Python or numpy integer >= ``minimum``, bools too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObservedData:
     """Stacked observation blocks.
@@ -100,6 +122,20 @@ class ObservedData:
         return np.vstack([self.x1, self.x2])
 
 
+class _View(ObservedData):
+    """Blocks of checked data (columns, a stack, rows of a working copy), neither
+    copied nor rechecked; its row means are ``whole``'s when given, else its own."""
+
+    def __init__(self, x1, x2, whole: ObservedData | None = None):
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "whole", whole)
+
+    @cached_property
+    def row_means(self) -> np.ndarray:
+        return super().row_means if self.whole is None else self.whole.row_means
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Model choice: intercept flag plus an optional known error-covariance shape.
@@ -115,20 +151,8 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ModelKind):
             raise ValidationError(f"kind must be a ModelKind, got {self.kind!r}")
-        if self.sigma0 is None:
-            return
-        s = _as_matrix(self.sigma0, "sigma0")
-        if s.shape[0] != s.shape[1]:
-            raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
-        scale = max(1.0, float(np.max(np.abs(s))))
-        if float(np.max(np.abs(s - s.T))) > 1e-12 * scale:
-            raise ValidationError("sigma0 is not symmetric to 1e-12 relative")
-        eigenvalues = np.linalg.eigvalsh((s + s.T) / 2.0)
-        if eigenvalues[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"sigma0 is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
-            )
-        object.__setattr__(self, "sigma0", s)
+        if self.sigma0 is not None:
+            object.__setattr__(self, "sigma0", _covariance_shape(self.sigma0))
 
 
 @dataclass(frozen=True)

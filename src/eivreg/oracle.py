@@ -23,15 +23,13 @@ objective is a sum over columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .estimators import FitResult, sigma0_symmetric_roots
 from .exceptions import ValidationError
-from .model_core import ModelKind, ObservedData
+from .model_core import ModelKind, ObservedData, _require_count, _View
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
@@ -108,22 +106,16 @@ def _glse_objective(data, alpha, b) -> float:
     return float(np.sum(res * np.linalg.solve(np.eye(data.x2.shape[0]) + b @ b.T, res)))
 
 
-def _split(x):
-    """Veltkamp's split of doubles into high and low halves of 26 bits each."""
-    scaled = 134217729.0 * x  # 2^27 + 1
-    high = scaled - (scaled - x)
-    return high, x - high
-
-
 def _mean_residual(x2_mean, alpha, b, z_mean):
-    """x2bar - alpha - B zbar rounded once: each product is split exactly into
-    two doubles (Dekker's two-product), and each row summed by ``math.fsum``."""
-    product = b * z_mean
-    b_high, b_low = _split(b)
-    z_high, z_low = _split(z_mean)
-    error = ((b_high * z_high - product) + b_high * z_low + b_low * z_high) + b_low * z_low
-    return np.array([math.fsum([m, -a, *-p, *-e])
-                     for m, a, p, e in zip(x2_mean, alpha, product, error)])
+    """x2bar - alpha - B zbar, each row summed exactly in rationals, rounded once."""
+    # imported here: it imports decimal, which would add milliseconds to every start
+    from fractions import Fraction
+
+    z = [Fraction(v) for v in z_mean.tolist()]
+    return np.array([
+        float(Fraction(m) - Fraction(a) - sum(Fraction(c) * v for c, v in zip(row, z)))
+        for m, a, row in zip(x2_mean.tolist(), alpha.tolist(), b.tolist())
+    ])
 
 
 def _expand(x2, alpha, b, z, out):
@@ -285,11 +277,6 @@ def _trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns) -> np.
     return changes
 
 
-def _require_count(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def _require_positive(name: str, value) -> None:
     if not (np.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be finite and positive, got {value!r}")
@@ -303,7 +290,6 @@ def perturbation_probe(
     seed: int,
     *,
     tol: float = AGREEMENT_TOL,
-    grad_step: float = 1e-6,
 ) -> OracleReport:
     """Run the full certification suite against a fit.
 
@@ -345,13 +331,13 @@ def perturbation_probe(
 
     work, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
     # the rows of the working copy, read as the blocks of an ObservedData
-    view = SimpleNamespace(x1=work[: data.p], x2=work[data.p :])
+    view = _View(work[: data.p], work[data.p :])
     base = _olse_objective(view, alpha, b, u1)
     legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
 
     # only free parameters must be stationary: the intercept is a known
     # constant in the no-intercept model, so its coordinates are excluded
-    gradient = glse_gradient_check(view, alpha, b, grad_step)
+    gradient = glse_gradient_check(view, alpha, b)
     if not perturb_alpha:
         gradient = gradient[alpha.size :]
     gradient_max_abs = float(np.max(np.abs(gradient)))

@@ -17,7 +17,8 @@ import numpy as np
 from .estimators import _eigenstructure, _slopes, _with_mean_shift, legacy_u1
 from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 2)
 from .exceptions import ExcessiveSkipsError, NotPositiveDefiniteError, ValidationError
-from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix
+from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix, _covariance_shape
+from .model_core import _require_count, _View
 
 # Share of replicates that may be skipped before an experiment fails.
 MAX_SKIP_FRACTION = 0.10
@@ -45,7 +46,8 @@ class SyntheticTruth:
     ``u1`` holds the true predictor mean vectors (p-by-n), ``b`` and ``alpha``
     the transformation, ``sigma2`` the error variance (zero gives noise-free
     data), ``sigma0`` the optional covariance shape (identity when ``None``),
-    and ``seed`` drives the error draw deterministically.
+    and ``seed`` drives the error draw deterministically. ``sigma0`` must
+    pass ``ModelSpec``'s check: symmetric to 1e-12 relative, positive definite.
     """
 
     u1: np.ndarray
@@ -68,7 +70,7 @@ class SyntheticTruth:
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValidationError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.sigma0 is not None:
-            s = _as_matrix(self.sigma0, "sigma0")
+            s = _covariance_shape(self.sigma0)
             m = self.u1.shape[0] + self.alpha.size
             if s.shape != (m, m):
                 raise ValidationError(f"sigma0 shape {s.shape} does not match ({m}, {m})")
@@ -204,21 +206,14 @@ def _template_grid(template_u1: np.ndarray, n: int) -> np.ndarray:
 
 
 def _require_nonnegative_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-class _Replicates(ObservedData):
-    """k drawn datasets as (k, p, n) and (k, r, n) views, not rechecked."""
-
-    def __post_init__(self):
-        pass
 
 
 def _fit_stack(stack: np.ndarray, spec: ModelSpec, p: int):
     """Slope, the mask of the unidentifiable, and legacy and corrected means of
     each dataset in a (k, p+r, n) stack, bit for bit those of ``fit``."""
-    data = _Replicates(x1=stack[:, :p], x2=stack[:, p:])
+    data = _View(stack[:, :p], stack[:, p:])
     es = _eigenstructure(data, spec.kind, spec.sigma0)
     legacy = legacy_u1(data, es, spec.kind)
     return *_slopes(es), legacy, _with_mean_shift(legacy, data, spec.kind)
@@ -243,8 +238,7 @@ def consistency_experiment(
     budget, with results identical to fitting each one alone.
     """
     _require_nonnegative_seed(seed)
-    if replicates < 10:
-        raise ValidationError(f"replicates must be >= 10, got {replicates}")
+    _require_count("replicates", replicates, 10)
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"n_grid must be strictly increasing, got {grid}")

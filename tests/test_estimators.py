@@ -345,15 +345,20 @@ def test_blocked_fit_means_equal_the_whole_data_estimates(kind, shape, n):
     u1 = ev.estimate_u1_corrected(data, result.eigenstructure, kind)
     np.testing.assert_array_equal(result.u1_hat, u1)
     np.testing.assert_array_equal(result.u2_hat, ev.estimate_u2(u1, result.alpha_hat, result.b_hat))
+    # the legacy means go over the same blocks
+    spec = ev.ModelSpec(kind=kind, sigma0=sigma0)
+    np.testing.assert_array_equal(ev.legacy_means(data, spec, result),
+                                  ev.legacy_u1(data, result.eigenstructure, kind))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
 def test_fit_allocates_only_its_means_and_one_block(kind, shape):
-    # beyond U1 and U2, a fit holds block-sized buffers whatever n is
+    # beyond U1 and U2, a fit holds block-sized buffers whatever n is, and so
+    # do the legacy means beyond theirs
     rng = np.random.default_rng(13)
     spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
-    excess = []
+    excess, legacy_excess = [], []
     for n in (10**5, 10**6):
         x1 = rng.normal(size=(3, n)) + 3.0
         data = ev.ObservedData(x1=x1, x2=rng.normal(size=(2, 3)) @ x1 + 0.1 * rng.normal(size=(2, n)))
@@ -361,32 +366,17 @@ def test_fit_allocates_only_its_means_and_one_block(kind, shape):
         try:
             result = ev.fit(data, spec)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            legacy = ev.legacy_means(data, spec, result)
+            legacy_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         excess.append(peak - result.u1_hat.nbytes - result.u2_hat.nbytes)
+        legacy_excess.append(legacy_peak - legacy.nbytes)
     assert max(excess) < 1e6
     assert excess[1] == pytest.approx(excess[0], rel=0.1)
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_fit_peak_memory_is_about_twice_the_input(kind, shape, monkeypatch):
-    # the result keeps U1 and U2 (one input's worth); the residual is the only
-    # other n-sized buffer alive at once, and the data is never stacked
-    monkeypatch.setattr(ev.ObservedData, "stacked", None)
-    p, r, n = 3, 2, 200_000
-    rng = np.random.default_rng(12)
-    x1 = rng.normal(size=(p, n)) + 3.0
-    x2 = rng.normal(size=(r, p)) @ x1 + 0.1 * rng.normal(size=(r, n))
-    data = ev.ObservedData(x1=x1, x2=x2)
-    spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
-    tracemalloc.start()
-    try:
-        ev.fit(data, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * x1.nbytes + 2.1 * x2.nbytes
+    assert max(legacy_excess) < 1e6
 
 
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])

@@ -82,6 +82,14 @@ def test_read_sigma0(tmp_path):
         io_cli.read_sigma0(small, 2)
 
 
+def test_read_sigma0_parse_error_names_the_cell(tmp_path):
+    path = write(tmp_path, "s.csv", "1,0,0\n0,1,0\n0,0,x\n")
+    with pytest.raises(ev.ParseError) as info:
+        io_cli.read_sigma0(path, 3)
+    assert str(info.value) == f"{path}: row 3, column 3: 'x' is not a finite real"
+    assert (info.value.row, info.value.column) == (3, 3)
+
+
 def test_read_dataset_and_sigma0_accept_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + DSB_CSV.encode())
@@ -274,6 +282,9 @@ REPORTS = st.recursive(
 @example({"a": {"rows": 2, "cols": 0, "data": [[], []]}, "b": {"data": []}})
 @example({"m": {"data": [[1, 2.0], [True, 1e-7]]}, "t": "@eivreg-matrix-rows@"})
 @example({"m": {"data": [[0.5, -0.0]]}, "@eivreg-matrix-rows@": {"data": [[5e-324]]}})
+@example({1: 0.5, 2.5: [1.5], True: {}, False: [], None: "x", float("nan"): [float("nan")]})
+@example({"mixed": [0.5, 1, 2.0, True, None], "t": (1.5, -0.0), "i": [1, 2]})
+@example({"e": [[], {}, [[], [{}]]], "d": {"x": {}, "y": {"z": []}}, "l": [[[0.5]], []]})
 def test_report_to_json_is_json_dumps(report):
     assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import eivreg as ev
-from eivreg import model_core, simulate
+from eivreg import model_core
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -147,7 +147,7 @@ BLOCK = model_core._BLOCK
 def test_blocked_scatter_is_the_symmetric_centered_gram(n, kind, seed):
     # W is summed over blocks of columns; a single column goes through it too
     stack = np.random.default_rng(seed).normal(loc=3.0, size=(3, 5, n))
-    replicates = simulate._Replicates(x1=stack[:, :2], x2=stack[:, 2:])
+    replicates = model_core._View(stack[:, :2], stack[:, 2:])
     w_stack = ev.scatter_matrix(replicates, kind)
     for x, w_stacked in zip(stack, w_stack):
         w = ev.scatter_matrix(ev.ObservedData(x1=x[:2], x2=x[2:]), kind)

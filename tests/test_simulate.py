@@ -128,6 +128,34 @@ def test_synthetic_truth_validation():
         ev.SyntheticTruth(u1=np.zeros((1, 5)), b=np.zeros((1, 1)), alpha=np.zeros(1), sigma2=-1.0)
 
 
+def asymmetric_shape():
+    # cholesky reads only the lower triangle, so this would draw from I silently
+    s = np.eye(4)
+    s[0, 3] = 5.0
+    return s
+
+
+def indefinite_shape():
+    return np.diag([1.0, 1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("shape, error", [(asymmetric_shape, ev.ValidationError),
+                                          (indefinite_shape, ev.NotPositiveDefiniteError)])
+def test_truth_rejects_a_shape_model_spec_rejects(shape, error):
+    with pytest.raises(error):
+        ev.ModelSpec(kind=INTERCEPT, sigma0=shape())
+    with pytest.raises(error):
+        template(sigma0=shape())
+    with pytest.raises(error):
+        ev.random_truth(0, 0, INTERCEPT, p=2, r=2, sigma0=shape())
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1", -1])
+def test_random_truth_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ev.ValidationError, match="seed must be a nonnegative integer"):
+        ev.random_truth(seed, 0, INTERCEPT)
+
+
 # ---------------------------------------------------------------------------
 # consistency experiment
 # ---------------------------------------------------------------------------
@@ -207,6 +235,24 @@ def test_consistency_validation():
         ev.consistency_experiment(template(), (4, 40), 10, seed=1, kind=INTERCEPT)
     with pytest.raises(ev.ValidationError):
         ev.consistency_experiment(template(), (20, 40), 10, seed=-1, kind=INTERCEPT)
+
+
+@pytest.mark.parametrize("replicates", [10.5, 10.0, True, "10", 9])
+def test_consistency_replicates_must_be_an_integer_of_at_least_10(replicates):
+    with pytest.raises(ev.ValidationError, match="replicates must be an integer >= 10"):
+        ev.consistency_experiment(template(), (20, 40), replicates, seed=1, kind=INTERCEPT)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, -1])
+def test_consistency_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ev.ValidationError, match="seed must be a nonnegative integer"):
+        ev.consistency_experiment(template(), (20, 40), 10, seed=seed, kind=INTERCEPT)
+
+
+def test_consistency_takes_numpy_integers():
+    report = ev.consistency_experiment(template(), (20, 40), np.int64(10), seed=np.int64(1),
+                                       kind=INTERCEPT)
+    assert report == ev.consistency_experiment(template(), (20, 40), 10, seed=1, kind=INTERCEPT)
 
 
 # ---------------------------------------------------------------------------
