@@ -8,17 +8,12 @@ __version__ = "0.1.0"
 
 from .estimators import (
     FitResult,
-    estimate_alpha,
     estimate_b,
     estimate_u1_corrected,
     estimate_u1_projection,
-    estimate_u2,
     fit,
-    glse_residual,
     legacy_means,
     legacy_u1,
-    residual_matrix,
-    sigma0_symmetric_roots,
 )
 from .exceptions import (
     DegenerateSubspaceWarning,
@@ -73,22 +68,17 @@ __all__ = [
     "ValidationError",
     "consistency_experiment",
     "default_mean_grid",
-    "estimate_alpha",
     "estimate_b",
     "estimate_u1_corrected",
     "estimate_u1_projection",
-    "estimate_u2",
     "fit",
     "generate_dataset",
     "glse_gradient_check",
-    "glse_residual",
     "legacy_means",
     "legacy_u1",
     "perturbation_probe",
     "project_columns_oracle",
     "random_truth",
-    "residual_matrix",
     "scatter_matrix",
-    "sigma0_symmetric_roots",
     "signal_eigenstructure",
 ]

@@ -47,8 +47,9 @@ class FitResult:
     the fit was made under (``None`` for the identity); the objectives and
     the residual scale are weighted by its inverse. ``eigenstructure`` is the
     decomposition of the scatter matrix the fit was computed from (whitened
-    as sigma0^{-1/2} W sigma0^{-1/2} under a known shape); reports read its
-    ``eigengap``, ``g11_condition`` and ``degenerate`` fields.
+    as L^{-1} W L^{-T} under a known shape sigma0 = L L', L lower
+    triangular); reports read its ``eigengap``, ``g11_condition`` and
+    ``degenerate`` fields.
     """
 
     kind: ModelKind
@@ -177,35 +178,19 @@ def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:
 
 
 def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
-    """Normalized response residual: (C sigma0 C')^{-1/2} (X2 - alpha 1' - B X1)
-    with C = [-B I], which is (I + BB')^{-1/2} under the identity shape.
-
-    Uses the symmetric positive-definite square root; the Frobenius norm of
-    the result, the only quantity consumed downstream, is invariant to the
-    choice of square root.
+    """Normalized response residual: K^{-1} (X2 - alpha 1' - B X1) with K the
+    lower Cholesky factor of S = C sigma0 C', C = [-B I] (S = I + BB' under
+    the identity shape). Its Frobenius norm, the only quantity consumed
+    downstream, is that of any square root of S. Raises
+    ``NotPositiveDefiniteError`` if S is not positive definite.
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    _, normalizer = sigma0_symmetric_roots(_graph_complement(b, sigma0)[1])
-    return normalizer @ (data.x2 - alpha[:, None] - b @ data.x1)
-
-
-def sigma0_symmetric_roots(sigma0) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of a covariance shape.
-
-    Raises ``NotPositiveDefiniteError`` if any eigenvalue is nonpositive.
-    """
-    s = np.asarray(sigma0, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
-    lam, v = np.linalg.eigh((s + s.T) / 2.0)
-    if lam[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"covariance shape is not positive definite (min eigenvalue {lam[0]:.3e})"
-        )
-    root = (v * np.sqrt(lam)) @ v.T
-    inv_root = (v / np.sqrt(lam)) @ v.T
-    return root, inv_root
+    try:
+        factor = np.linalg.cholesky(_graph_complement(b, sigma0)[1])
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("C sigma0 C' is not positive definite") from exc
+    return np.linalg.solve(factor, data.x2 - alpha[:, None] - b @ data.x1)
 
 
 def _graph_complement(b: np.ndarray, sigma0) -> tuple[np.ndarray, np.ndarray]:
@@ -244,10 +229,10 @@ def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     Two passes over the columns, each in blocks of at most a few thousand:
     the first forms the scatter matrix W, the second, after W's
     eigenstructure, evaluates the closed forms. Only the returned mean
-    matrices are n-sized. A known covariance shape enters only through
-    (p+r)-by-(p+r) matrices: the eigenstructure is that of
-    sigma0^{-1/2} W sigma0^{-1/2}, and its signal basis is mapped back
-    through sigma0^{1/2}. The observations are never whitened.
+    matrices are n-sized. A known covariance shape sigma0 = L L' enters
+    only through (p+r)-by-(p+r) matrices: the eigenstructure is that of
+    L^{-1} W L^{-T}, with L its lower Cholesky factor, and its signal basis
+    is mapped back through L. The observations are never whitened.
     """
     _validate_for_fit(data, spec)
     if spec.sigma0 is not None:
@@ -261,12 +246,14 @@ def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> Fi
 
 def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenStructure:
     """Eigenstructure of the scatter of (each stacked dataset in) ``data``,
-    whitened as sigma0^{-1/2} W sigma0^{-1/2} under a known shape."""
+    whitened as L^{-1} W L^{-T} under a known shape sigma0 = L L', with two
+    solves against its lower Cholesky factor L (W is symmetric)."""
     w = scatter_matrix(data, kind)
     if sigma0 is None:
         return signal_eigenstructure(w, data.p)
-    roots = sigma0_symmetric_roots(sigma0)
-    return signal_eigenstructure(roots[1] @ w @ roots[1].T, data.p, roots)
+    root = np.linalg.cholesky(sigma0)
+    white = np.linalg.solve(root, np.linalg.solve(root, w).mT)
+    return signal_eigenstructure(white, data.p, root)
 
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:

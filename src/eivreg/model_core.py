@@ -52,14 +52,15 @@ def _covariance_shape(value) -> np.ndarray:
     s = _as_matrix(value, "sigma0")
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if float(np.max(np.abs(s - s.T))) > 1e-12 * scale:
+    if float(np.max(np.abs(s - s.T))) > 1e-12 * float(np.max(np.abs(s))):
         raise ValidationError("sigma0 is not symmetric to 1e-12 relative")
-    eigenvalues = np.linalg.eigvalsh((s + s.T) / 2.0)
-    if eigenvalues[0] <= 0.0:
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh((s + s.T) / 2.0)[0]
         raise NotPositiveDefiniteError(
-            f"sigma0 is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
-        )
+            f"sigma0 is not positive definite (min eigenvalue {smallest:.3e})"
+        ) from None
     return s
 
 
@@ -161,13 +162,13 @@ class EigenStructure:
     the diagnostics of its eigendecomposition.
 
     ``eigenvalues`` holds the spectrum of W, descending; under a known
-    covariance shape sigma0, that of sigma0^{-1/2} W sigma0^{-1/2}. For its
-    leading p eigenvectors G_s, ``g11`` is the top p-by-p block of the signal
-    basis sigma0^{1/2} G_s, ``g21`` the block below it and ``left`` is
-    G_s' sigma0^{-1/2} (G_s and G_s' without sigma0). ``eigengap`` separates
-    the p-th and (p+1)-th eigenvalues. ``g11_condition``,
-    |sigma0^{1/2}|_2 / sigma_min(g11), bounds the condition number of ``g11``
-    (no block of the basis has a singular value above |sigma0^{1/2}|_2) and
+    covariance shape sigma0 = L L' (L its lower Cholesky factor), that of
+    L^{-1} W L^{-T}. For its leading p eigenvectors G_s, ``g11`` is the top
+    p-by-p block of the signal basis L G_s, ``g21`` the block below it and
+    ``left`` is G_s' L^{-1} (G_s and G_s' without sigma0). ``eigengap``
+    separates the p-th and (p+1)-th eigenvalues. ``g11_condition``,
+    |L|_2 / sigma_min(g11), bounds the condition number of ``g11`` (no block
+    of the basis has a singular value above |L|_2 = |sigma0|_2^{1/2}) and
     does not change when sigma0 is scaled. ``signal_eigenstructure`` builds
     it; the last three fields are numpy scalars, or arrays for a stack.
     """
@@ -220,17 +221,18 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows[..., :, None, :], rows[..., None, :, :])
 
 
-def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
+def signal_eigenstructure(w, p: int, root=None) -> EigenStructure:
     """Signal basis and descending spectrum of the scatter matrix.
 
     ``w`` must be square, finite and symmetric to 1e-10 relative, and
     1 <= p < its order. The leading p eigenvectors span the fitted signal
-    subspace; ``roots``, sigma0's (root, inverse root), map its basis back
-    from a whitened ``w`` (see ``EigenStructure``). Warns with
-    ``DegenerateSubspaceWarning`` when the eigengap at the signal/noise cut
-    vanishes relative to the leading eigenvalue; ``estimate_b`` decides
-    whether the slope is computable. A stack of matrices gives one of each
-    field per matrix, and warns if any of them is degenerate.
+    subspace; ``root``, sigma0's lower Cholesky factor L, maps its basis
+    back from a ``w`` whitened as L^{-1} W L^{-T} (see ``EigenStructure``).
+    Warns with ``DegenerateSubspaceWarning`` when the eigengap at the
+    signal/noise cut vanishes relative to the leading eigenvalue;
+    ``estimate_b`` decides whether the slope is computable. A stack of
+    matrices gives one of each field per matrix, and warns if any of them is
+    degenerate.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
@@ -248,9 +250,9 @@ def signal_eigenstructure(w, p: int, roots=None) -> EigenStructure:
     eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
     signal = np.take_along_axis(g, order[..., None, :], axis=-1)[..., :p]
     basis, left, root_norm = signal, signal.mT, 1.0
-    if roots is not None:
-        basis, left = roots[0] @ signal, signal.mT @ roots[1]
-        root_norm = float(np.linalg.norm(roots[0], 2))
+    if root is not None:
+        basis, left = root @ signal, np.linalg.solve(root.mT, signal).mT
+        root_norm = float(np.linalg.norm(root, 2))
     g11 = basis[..., :p, :].copy()
     g21 = basis[..., p:, :].copy()
     for array in (eigenvalues, g11, g21, left):

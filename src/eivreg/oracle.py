@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult, sigma0_symmetric_roots
+from .estimators import FitResult
 from .exceptions import ValidationError
 from .model_core import ModelKind, ObservedData, _require_count, _View
 
@@ -190,30 +190,40 @@ def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.
     return (values[:m] - values[m:]) / (2.0 * step)
 
 
+def _forward(lower, rows):
+    """Overwrite ``rows`` with lower^{-1} rows, one row at a time by forward
+    substitution, and return it; ``lower`` is lower triangular."""
+    for i in range(len(rows)):
+        rows[i] -= lower[i, :i] @ rows[:i]
+        rows[i] /= lower[i, i]
+    return rows
+
+
 def _working_view(data, fit_result):
     """A writable (p+r)-by-n copy of the data, the fitted triple and the legacy
     means' shift, in the coordinates where the identity-shape least-squares
-    criteria apply: the data's own, or, under a covariance shape, whitened by
-    sigma0^{-1/2} (the shift is then the top p rows of sigma0^{-1/2}
-    [xbar1; B xbar1])."""
+    criteria apply: the data's own, or, under a covariance shape
+    sigma0 = L L', whitened in place by L^{-1}, with L its lower Cholesky
+    factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
+    and graph L^{-1} [I; B]. L^{-1} is lower triangular, so the whitened mean
+    vectors are L11^{-1} U1 and the shift L11^{-1} xbar1, through the top
+    p-by-p block L11 alone, and U2 is not read."""
     p = data.p
     alpha = np.asarray(fit_result.alpha_hat, dtype=float)
     b = np.asarray(fit_result.b_hat, dtype=float)
     u1 = np.asarray(fit_result.u1_hat, dtype=float)
     intercept = fit_result.kind is ModelKind.INTERCEPT
     x1_mean = data.x1.mean(axis=1, keepdims=True)
+    work = data.stacked()
     if fit_result.sigma0 is None:
-        return data.stacked(), alpha, b, u1, x1_mean if intercept else 0.0
-    _, inv_root = sigma0_symmetric_roots(fit_result.sigma0)
-    work = inv_root @ data.stacked()
-    mapped = inv_root @ np.vstack([np.eye(p), b])
-    b_white = np.linalg.solve(mapped[:p].T, mapped[p:].T).T
-    alpha_white, legacy_shift = np.zeros(data.r), 0.0
-    if intercept:
-        alpha_white = work[p:].mean(axis=1) - b_white @ work[:p].mean(axis=1)
-        legacy_shift = inv_root[:p] @ np.vstack([x1_mean, b @ x1_mean])
-    u1_white = inv_root[:p] @ np.vstack([u1, fit_result.u2_hat])
-    return work, alpha_white, b_white, u1_white, legacy_shift
+        return work, alpha, b, u1, x1_mean if intercept else 0.0
+    root = np.linalg.cholesky(fit_result.sigma0)
+    graph = _forward(root, np.vstack([np.eye(p), b]))
+    b_white = np.linalg.solve(graph[:p].T, graph[p:].T).T
+    alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha]))[p:]
+    top = root[:p, :p]
+    legacy_shift = _forward(top, x1_mean) if intercept else 0.0
+    return _forward(root, work), alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
 
 
 def _draw_trials(trials: range, seed, scale, alpha, b, u1, perturb_alpha):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import _eigenstructure, _slopes, _with_mean_shift, legacy_u1
 from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 2)
-from .exceptions import ExcessiveSkipsError, NotPositiveDefiniteError, ValidationError
+from .exceptions import ExcessiveSkipsError, ValidationError
 from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix, _covariance_shape
 from .model_core import _require_count, _View
 
@@ -147,10 +147,7 @@ def _draw(truth: SyntheticTruth, seeds) -> np.ndarray:
             # centered uniform with unit variance
             z[...] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=u.shape)
     if truth.sigma0 is not None:
-        try:
-            stack = np.linalg.cholesky(truth.sigma0) @ stack
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("sigma0 is not positive definite") from exc
+        stack = np.linalg.cholesky(truth.sigma0) @ stack
     stack *= np.sqrt(truth.sigma2)
     stack += u
     return stack
@@ -175,6 +172,7 @@ def random_truth(
     (seed, index) pairs map to independent substreams.
     """
     _require_nonnegative_seed(seed)
+    _require_count("index", index, 0)
     rng = np.random.default_rng([seed, index])
     p = int(rng.integers(1, 5)) if p is None else p
     r = int(rng.integers(1, 4)) if r is None else r
@@ -239,6 +237,8 @@ def consistency_experiment(
     """
     _require_nonnegative_seed(seed)
     _require_count("replicates", replicates, 10)
+    for n in n_grid:
+        _require_count("n_grid entries", n, 1)
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"n_grid must be strictly increasing, got {grid}")

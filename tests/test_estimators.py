@@ -71,20 +71,20 @@ def test_estimate_b_rejects_ill_conditioned_block():
 
 def test_estimate_alpha_no_intercept_is_zero():
     _, data = noisy_instance(kind=NO_INTERCEPT)
-    alpha = ev.estimate_alpha(np.ones((data.r, data.p)), data, NO_INTERCEPT)
+    alpha = estimators.estimate_alpha(np.ones((data.r, data.p)), data, NO_INTERCEPT)
     np.testing.assert_array_equal(alpha, np.zeros(data.r))
 
 
 def test_estimate_alpha_golden():
     np.testing.assert_allclose(
-        ev.estimate_alpha([[2.0]], dsb(), INTERCEPT), [1.0], atol=1e-12
+        estimators.estimate_alpha([[2.0]], dsb(), INTERCEPT), [1.0], atol=1e-12
     )
 
 
 def test_estimate_alpha_constant_rows_zero_slope():
     data = ev.ObservedData(x1=[[1.0, 2.0, 3.0]], x2=[[4.0, 4.0, 4.0]])
     np.testing.assert_allclose(
-        ev.estimate_alpha(np.zeros((1, 1)), data, INTERCEPT), [4.0], atol=1e-12
+        estimators.estimate_alpha(np.zeros((1, 1)), data, INTERCEPT), [4.0], atol=1e-12
     )
 
 
@@ -167,28 +167,28 @@ def test_legacy_means_routes_like_fit():
 
 def test_estimate_u2_golden():
     np.testing.assert_allclose(
-        ev.estimate_u2([[0.0, 1.0, 2.0]], [1.0], [[2.0]]), [[1.0, 3.0, 5.0]], atol=1e-12
+        estimators.estimate_u2([[0.0, 1.0, 2.0]], [1.0], [[2.0]]), [[1.0, 3.0, 5.0]], atol=1e-12
     )
 
 
 def test_estimate_u2_zero_slope_repeats_alpha():
-    u2 = ev.estimate_u2(np.zeros((2, 4)), [3.0, -1.0], np.zeros((2, 2)))
+    u2 = estimators.estimate_u2(np.zeros((2, 4)), [3.0, -1.0], np.zeros((2, 2)))
     np.testing.assert_array_equal(u2, [[3.0] * 4, [-1.0] * 4])
 
 
 def test_estimate_u2_identity_map():
     u1 = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(ev.estimate_u2(u1, np.zeros(2), np.eye(2)), u1)
+    np.testing.assert_array_equal(estimators.estimate_u2(u1, np.zeros(2), np.eye(2)), u1)
 
 
 def test_residual_zero_at_exact_fit():
-    res = ev.residual_matrix(dsb(), [1.0], [[2.0]], [[0.0, 1.0, 2.0]])
+    res = estimators.residual_matrix(dsb(), [1.0], [[2.0]], [[0.0, 1.0, 2.0]])
     np.testing.assert_allclose(res, np.zeros((2, 3)), atol=1e-12)
 
 
 def test_residual_direct_substitution():
     _, data = noisy_instance(seed=2, index=0)
-    res = ev.residual_matrix(
+    res = estimators.residual_matrix(
         data, np.zeros(data.r), np.zeros((data.r, data.p)), data.x1
     )
     np.testing.assert_array_equal(res[: data.p], np.zeros((data.p, data.n)))
@@ -198,26 +198,26 @@ def test_residual_direct_substitution():
 def test_glse_residual_zero_slope():
     _, data = noisy_instance(seed=3, index=1)
     alpha = np.arange(float(data.r))
-    q = ev.glse_residual(data, alpha, np.zeros((data.r, data.p)))
+    q = estimators.glse_residual(data, alpha, np.zeros((data.r, data.p)))
     np.testing.assert_allclose(q, data.x2 - alpha[:, None], atol=1e-12)
 
 
 def test_glse_residual_exact_relation_vanishes():
-    q = ev.glse_residual(dsb(), [1.0], [[2.0]])
+    q = estimators.glse_residual(dsb(), [1.0], [[2.0]])
     np.testing.assert_allclose(q, np.zeros((1, 3)), atol=1e-12)
 
 
 def test_glse_residual_scalar_value():
     data = ev.ObservedData(x1=[[1.0]], x2=[[7.0]])
-    q = ev.glse_residual(data, [0.0], [[2.0]])
+    q = estimators.glse_residual(data, [0.0], [[2.0]])
     np.testing.assert_allclose(q, [[np.sqrt(5.0)]], atol=1e-12)
 
 
 def test_residual_pair_consistency():
     _, data = noisy_instance(seed=30, index=3)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    r_matrix = ev.residual_matrix(data, result.alpha_hat, result.b_hat, result.u1_hat)
-    q_matrix = ev.glse_residual(data, result.alpha_hat, result.b_hat)
+    r_matrix = estimators.residual_matrix(data, result.alpha_hat, result.b_hat, result.u1_hat)
+    q_matrix = estimators.glse_residual(data, result.alpha_hat, result.b_hat)
     assert r_matrix.shape == (data.p + data.r, data.n)
     assert q_matrix.shape == (data.r, data.n)
     assert float(np.sum(r_matrix**2)) == pytest.approx(result.olse_objective)
@@ -316,7 +316,7 @@ def test_objectives_match_the_direct_residual_sums(kind, shape, sigma, n=2000):
     data = ev.generate_dataset(truth)
     result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
     b, alpha = result.b_hat, result.alpha_hat
-    res = ev.residual_matrix(data, alpha, b, result.u1_hat)
+    res = estimators.residual_matrix(data, alpha, b, result.u1_hat)
     q = data.x2 - alpha[:, None] - b @ data.x1
     c = np.hstack([-b, np.eye(data.r)])
     if sigma0 is None:
@@ -344,7 +344,8 @@ def test_blocked_fit_means_equal_the_whole_data_estimates(kind, shape, n):
     result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
     u1 = ev.estimate_u1_corrected(data, result.eigenstructure, kind)
     np.testing.assert_array_equal(result.u1_hat, u1)
-    np.testing.assert_array_equal(result.u2_hat, ev.estimate_u2(u1, result.alpha_hat, result.b_hat))
+    np.testing.assert_array_equal(result.u2_hat,
+                                  estimators.estimate_u2(u1, result.alpha_hat, result.b_hat))
     # the legacy means go over the same blocks
     spec = ev.ModelSpec(kind=kind, sigma0=sigma0)
     np.testing.assert_array_equal(ev.legacy_means(data, spec, result),
@@ -422,9 +423,9 @@ def test_fit_sigma0_never_builds_whitened_observations(monkeypatch):
 def test_fit_sigma0_takes_its_roots_once(monkeypatch):
     _, data, spec = dense_sigma0_instance(INTERCEPT, 73)
     shapes = []
-    original = estimators.sigma0_symmetric_roots
-    monkeypatch.setattr(estimators, "sigma0_symmetric_roots",
-                        lambda s: shapes.append(np.shape(s)) or original(s))
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda s, **kw: shapes.append(np.shape(s)) or original(s, **kw))
     ev.legacy_means(data, spec, ev.fit(data, spec))
     assert shapes.count(spec.sigma0.shape) == 1
 
@@ -496,7 +497,7 @@ def test_olse_minimality_under_mean_perturbations():
     rng = np.random.default_rng(99)
     for _ in range(100):
         delta = rng.normal(size=result.u1_hat.shape) * scale
-        perturbed = ev.residual_matrix(
+        perturbed = estimators.residual_matrix(
             data, result.alpha_hat, result.b_hat, result.u1_hat + delta
         )
         assert float(np.sum(perturbed**2)) >= base - slack
@@ -562,16 +563,6 @@ def test_slope_gram_identity():
     for index in range(10):
         _, data = noisy_instance(seed=67, index=index)
         assert invariants.slope_gram(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
-
-
-def test_sigma0_roots_invert_each_other():
-    rng = np.random.default_rng(6)
-    s = random_spd(rng, 4)
-    root, inv_root = ev.sigma0_symmetric_roots(s)
-    np.testing.assert_allclose(root @ root, s, atol=1e-12)
-    np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
-    with pytest.raises(ev.NotPositiveDefiniteError):
-        ev.sigma0_symmetric_roots(np.diag([1.0, -1.0]))
 
 
 def legacy_as_fit(data, result, shift=0.0):

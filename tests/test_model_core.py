@@ -54,6 +54,12 @@ def test_model_spec_rejects_asymmetric_sigma0():
         ev.ModelSpec(kind=INTERCEPT, sigma0=[[1.0, 0.5], [0.2, 1.0]])
 
 
+@pytest.mark.parametrize("k", [0, -20, -40])
+def test_model_spec_symmetry_check_ignores_the_scale_of_sigma0(k):
+    with pytest.raises(ev.ValidationError, match="not symmetric"):
+        ev.ModelSpec(kind=INTERCEPT, sigma0=np.array([[1.0, 0.0], [1e-7, 1.0]]) * 2.0**k)
+
+
 def test_model_spec_rejects_indefinite_sigma0():
     with pytest.raises(ev.NotPositiveDefiniteError):
         ev.ModelSpec(kind=INTERCEPT, sigma0=[[1.0, 0.0], [0.0, -2.0]])

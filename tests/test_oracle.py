@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eivreg as ev
-from eivreg import invariants, oracle
+from eivreg import estimators, invariants, oracle
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -199,6 +199,26 @@ def test_probe_legacy_excess_is_the_weighted_mean_shift(shape):
         assert report.legacy_objective_excess == pytest.approx(data.n * d @ weighted, rel=1e-9)
 
 
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_probe_gradient_flags_a_moved_intercept(shape):
+    # the probe maps the fit's own alpha into its coordinates, so under a
+    # covariance shape too a wrong alpha leaves the GLSE objective unstationary
+    sigma0 = None if shape is None else random_spd(np.random.default_rng(6), 5)
+    truth = ev.random_truth(5, 0, INTERCEPT, p=3, r=2, n=500, sigma0=sigma0)
+    data = ev.generate_dataset(truth)
+    result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
+    alpha = result.alpha_hat + 0.1
+    moved = dataclasses.replace(
+        result, alpha_hat=alpha, u2_hat=estimators.estimate_u2(result.u1_hat, alpha, result.b_hat)
+    )
+    glse = float(np.sum(estimators.glse_residual(data, alpha, result.b_hat, sigma0) ** 2))
+    correct = ev.perturbation_probe(data, result, trials=50, scale=1e-3, seed=0)
+    report = ev.perturbation_probe(data, moved, trials=50, scale=1e-3, seed=0)
+    assert correct.gradient_max_abs <= oracle.stationarity_limit(result.glse_objective)
+    assert report.gradient_max_abs > oracle.stationarity_limit(glse)
+    assert not report.passed
+
+
 def test_probe_deterministic():
     _, data = noisy_instance(seed=66, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
@@ -284,19 +304,20 @@ def test_probe_rejects_inputs_that_make_it_vacuous(keyword, value):
 
 def probe_coordinates(data, fit_result):
     """The data and fitted triple where the probe's identity-shape criteria
-    apply: whitened by sigma0^{-1/2} for a fit under a covariance shape."""
+    apply: whitened by L^{-1}, L the lower Cholesky factor of sigma0, for a
+    fit under a covariance shape, with the fit's own alpha and B mapped as
+    the offset L^{-1} [0; alpha] and the graph L^{-1} [I; B]."""
     alpha, b, u1 = (np.asarray(v, dtype=float)
                     for v in (fit_result.alpha_hat, fit_result.b_hat, fit_result.u1_hat))
     if fit_result.sigma0 is None:
         return data, alpha, b, u1
-    _, inv_root = ev.sigma0_symmetric_roots(fit_result.sigma0)
+    root = np.linalg.cholesky(fit_result.sigma0)
     p = data.p
-    white = inv_root @ data.stacked()
-    mapped = inv_root @ np.vstack([np.eye(p), b])
+    white = np.linalg.solve(root, data.stacked())
+    mapped = np.linalg.solve(root, np.vstack([np.eye(p), b]))
     b = np.linalg.solve(mapped[:p].T, mapped[p:].T).T
-    if fit_result.kind is INTERCEPT:
-        alpha = white[p:].mean(axis=1) - b @ white[:p].mean(axis=1)
-    u1 = (inv_root @ np.vstack([u1, fit_result.u2_hat]))[:p]
+    alpha = np.linalg.solve(root, np.concatenate([np.zeros(p), alpha]))[p:]
+    u1 = np.linalg.solve(root[:p, :p], u1)
     return ev.ObservedData(x1=white[:p], x2=white[p:]), alpha, b, u1
 
 

@@ -156,6 +156,12 @@ def test_random_truth_seed_must_be_a_nonnegative_integer(seed):
         ev.random_truth(seed, 0, INTERCEPT)
 
 
+@pytest.mark.parametrize("index", [-1, 1.5, True])
+def test_random_truth_index_must_be_a_nonnegative_integer(index):
+    with pytest.raises(ev.ValidationError, match="index must be an integer >= 0"):
+        ev.random_truth(0, index, INTERCEPT)
+
+
 # ---------------------------------------------------------------------------
 # consistency experiment
 # ---------------------------------------------------------------------------
@@ -247,6 +253,12 @@ def test_consistency_replicates_must_be_an_integer_of_at_least_10(replicates):
 def test_consistency_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(ev.ValidationError, match="seed must be a nonnegative integer"):
         ev.consistency_experiment(template(), (20, 40), 10, seed=seed, kind=INTERCEPT)
+
+
+@pytest.mark.parametrize("n_grid", [(20.7, 40), (20, True), (20, "40")])
+def test_consistency_n_grid_entries_must_be_integers(n_grid):
+    with pytest.raises(ev.ValidationError, match="n_grid entries must be an integer"):
+        ev.consistency_experiment(template(), n_grid, 10, seed=1, kind=INTERCEPT)
 
 
 def test_consistency_takes_numpy_integers():
