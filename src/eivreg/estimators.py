@@ -25,9 +25,8 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     ObservedData,
-    _column_blocks,
+    _centered_blocks,
     _gram,
-    _View,
     scatter_matrix,
     signal_eigenstructure,
 )
@@ -45,11 +44,12 @@ class FitResult:
     ``alpha_hat`` is exactly zero for the no-intercept model. All estimates
     are in the coordinates of the data. ``sigma0`` is the covariance shape
     the fit was made under (``None`` for the identity); the objectives and
-    the residual scale are weighted by its inverse. ``eigenstructure`` is the
-    decomposition of the scatter matrix the fit was computed from (whitened
-    as L^{-1} W L^{-T} under a known shape sigma0 = L L', L lower
-    triangular); reports read its ``eigengap``, ``g11_condition`` and
-    ``degenerate`` fields.
+    the residual scale are weighted by its inverse. At the fitted means the
+    OLSE equals the GLSE objective, one value (see ``_assemble``).
+    ``eigenstructure`` is the decomposition of the scatter matrix the fit
+    was computed from (whitened as L^{-1} W L^{-T} under a known shape
+    sigma0 = L L', L lower triangular); reports read its ``eigengap``,
+    ``g11_condition`` and ``degenerate`` fields.
     """
 
     kind: ModelKind
@@ -97,17 +97,15 @@ def estimate_alpha(b_hat, data: ObservedData, kind: ModelKind) -> np.ndarray:
     return data.row_means[data.p :] - b_hat @ data.row_means[: data.p]
 
 
-def estimate_u1_corrected(
-    data: ObservedData, es: EigenStructure, kind: ModelKind, out=None
-) -> np.ndarray:
+def estimate_u1_corrected(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """Least-squares estimate of the predictor mean vectors, eigenvector route.
 
     For the intercept model this is ``legacy_u1`` plus the mean-shift term
     (the per-row predictor means), the term whose omission makes the legacy
     form incorrect. For the no-intercept model no centering or shift applies
-    and the legacy form is already correct. Written into ``out`` if given.
+    and the legacy form is already correct.
     """
-    u1 = legacy_u1(data, es, kind, out=out)
+    u1 = legacy_u1(data, es, kind)
     return _with_mean_shift(u1, data, kind, out=u1)
 
 
@@ -131,16 +129,15 @@ def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
     return np.linalg.solve(np.eye(data.p) + b_hat.T @ b_hat, rhs)
 
 
-def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind, out=None) -> np.ndarray:
+def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:
     """The historically published mean-vector estimate, without the mean shift:
     P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar
     ``data.row_means`` for the intercept model, zero without one. Both factors
     are read from the signal basis in data coordinates, so one expression
-    serves every covariance shape. P1 X1 + P2 X2 is formed on the raw blocks
-    and P xbar subtracted as one p-vector, so the data is neither centered
-    nor copied; the estimate is written into ``out`` if given. Blocks and
-    eigenstructure with matching leading axes give one estimate per leading
-    index.
+    serves every covariance shape. P is applied to the blocks of
+    ``_centered_blocks`` that ``fit`` reads, so no n-sized temporary is
+    formed. Blocks and eigenstructure with matching leading axes give one
+    estimate per leading index.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
@@ -148,19 +145,30 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind, out=None)
     the defect can be demonstrated and reported side by side.
     """
     proj = es.g11 @ es.left
-    u1 = np.matmul(proj[..., : data.p], data.x1, out=out)
-    u1 += proj[..., data.p :] @ data.x2
-    if kind is ModelKind.INTERCEPT:
-        u1 -= proj @ data.row_means[..., None]
+    u1 = np.empty(data.x1.shape)
+    for cols, block in _centered_blocks(data, kind):
+        _product(proj, block, out=u1[..., cols])
     return u1
 
 
 def estimate_u2(u1_hat, alpha_hat, b_hat, out=None) -> np.ndarray:
     """Response mean vectors implied by the model: alpha 1' + B U1, written
     into ``out`` if given."""
-    u2 = np.matmul(np.asarray(b_hat, dtype=float), np.asarray(u1_hat, dtype=float), out=out)
+    u2 = _product(np.asarray(b_hat, dtype=float), np.asarray(u1_hat, dtype=float), out=out)
     u2 += np.asarray(alpha_hat, dtype=float)[:, None]
     return u2
+
+
+def _product(factor: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
+    """factor @ block, written into ``out`` if given, as a matrix-matrix
+    product. matmul takes a one-row factor for a vector (gemv), whose last
+    bits depend on a column's position, so such a factor goes in twice and
+    one row of the product is kept: a block of columns then gets the bits of
+    the same columns within the whole data."""
+    if factor.shape[-2] > 1:
+        return np.matmul(factor, block, out=out)
+    rows = np.matmul(np.repeat(factor, 2, axis=-2), block)
+    return np.positive(rows[..., :1, :], out=out)  # a copy of the first row
 
 
 def residual_matrix(data: ObservedData, alpha, b, u1) -> np.ndarray:
@@ -187,16 +195,16 @@ def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
     try:
-        factor = np.linalg.cholesky(_graph_complement(b, sigma0)[1])
+        factor = np.linalg.cholesky(_graph_spread(b, sigma0))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("C sigma0 C' is not positive definite") from exc
     return np.linalg.solve(factor, data.x2 - alpha[:, None] - b @ data.x1)
 
 
-def _graph_complement(b: np.ndarray, sigma0) -> tuple[np.ndarray, np.ndarray]:
-    """C = [-B I], which annihilates the graph basis [I; B], and C sigma0 C'."""
+def _graph_spread(b: np.ndarray, sigma0) -> np.ndarray:
+    """S = C sigma0 C' with C = [-B I], which annihilates the graph basis [I; B]."""
     c = np.hstack([-b, np.eye(b.shape[0])])
-    return c, (np.eye(b.shape[0]) + b @ b.T if sigma0 is None else c @ sigma0 @ c.T)
+    return c @ c.T if sigma0 is None else c @ sigma0 @ c.T
 
 
 def _graph_slope(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -226,8 +234,8 @@ def _validate_for_fit(data: ObservedData, spec: ModelSpec) -> None:
 def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     """Fit the errors-in-variables model and return all estimates.
 
-    Two passes over the columns, each in blocks of at most a few thousand:
-    the first forms the scatter matrix W, the second, after W's
+    Two passes over the centered columns, each in blocks of at most a few
+    thousand: the first forms the scatter matrix W, the second, after W's
     eigenstructure, evaluates the closed forms. Only the returned mean
     matrices are n-sized. A known covariance shape sigma0 = L L' enters
     only through (p+r)-by-(p+r) matrices: the eigenstructure is that of
@@ -258,34 +266,36 @@ def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenSt
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
     """The closed forms on the signal basis of ``es``, in data coordinates
-    for every covariance shape, evaluated block by block of columns straight
-    into the returned means. Both objectives come from the Gram matrix
-    G = R R' of the residual R, summed over the blocks: OLSE =
-    tr(sigma0^{-1} G) and GLSE = tr(S^{-1} C G C'), as C [I; B] = 0 gives
-    C R = X2 - alpha 1' - B X1 (see ``_graph_complement``). The trailing
-    eigenvalues of W would lose the residual's relative precision as the
-    noise shrinks."""
+    for every covariance shape, on each block Xc of ``_centered_blocks``:
+    the legacy block P Xc (see ``legacy_u1``), U1 = P Xc + xbar1 and
+    U2 = alpha 1' + B U1 straight into the returned means, and the graph
+    residual K = Xc2 - B Xc1, whose Gram matrix adds to H. At the fitted
+    means OLSE = GLSE = sum q' S^{-1} q, q = X2 - alpha 1' - B X1 (Gleser
+    1981), and alpha = xbar2 - B xbar1 makes q = K: both are tr(S^{-1} H).
+    Centering keeps the data's offset out of K; the trailing eigenvalues of
+    W would lose its relative precision as the noise shrinks."""
     b_hat = estimate_b(es)
     alpha_hat = estimate_alpha(b_hat, data, kind)
+    proj = es.g11 @ es.left
     u1_hat, u2_hat = np.empty(data.x1.shape), np.empty(data.x2.shape)
-    gram = np.zeros((data.p + data.r,) * 2)
-    for cols in _column_blocks(data.n):
-        block = _View(data.x1[:, cols], data.x2[:, cols], data)
-        u1 = estimate_u1_corrected(block, es, kind, out=u1_hat[:, cols])
+    gram = np.zeros((data.r, data.r))
+    for cols, block in _centered_blocks(data, kind):
+        legacy = _product(proj, block, out=u1_hat[:, cols])
+        u1 = _with_mean_shift(legacy, data, kind, out=legacy)
         estimate_u2(u1, alpha_hat, b_hat, out=u2_hat[:, cols])
-        gram += _gram(residual_matrix(block, alpha_hat, b_hat, u1))
-    c, spread = _graph_complement(b_hat, sigma0)
-    olse = float(np.trace(gram if sigma0 is None else np.linalg.solve(sigma0, gram)))
+        block[data.p :] -= _product(b_hat, block[: data.p])  # the graph residual K
+        gram += _gram(block[data.p :])
+    objective = float(np.trace(np.linalg.solve(_graph_spread(b_hat, sigma0), gram)))
     return FitResult(
         kind=kind,
         b_hat=b_hat,
         alpha_hat=alpha_hat,
         u1_hat=u1_hat,
         u2_hat=u2_hat,
-        olse_objective=olse,
-        glse_objective=float(np.trace(np.linalg.solve(spread, c @ gram @ c.T))),
+        olse_objective=objective,
+        glse_objective=objective,
         # ad hoc scale diagnostic, not a derived estimator of the error variance
-        residual_scale=olse / (data.n * (data.p + data.r)),
+        residual_scale=objective / (data.n * (data.p + data.r)),
         eigenstructure=es,
         sigma0=sigma0,
     )
@@ -294,24 +304,17 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
 def legacy_means(
     data: ObservedData, spec: ModelSpec, result: FitResult | None = None
 ) -> np.ndarray:
-    """Predictor mean vectors per the legacy formula (``legacy_u1``).
-
-    Evaluated on the eigenstructure of ``result``, the fit of ``data`` under
-    ``spec``, without refitting or whitening, over the fit's blocks of
-    columns straight into the returned array; without ``result`` the data is
-    fitted first. Corrected minus legacy means is thus exactly the per-row
-    predictor means (intercept model) or zero (no-intercept model) under
-    every covariance shape. Raises ``ValidationError`` if ``result`` is a fit
-    under another model kind or covariance shape, or of another data size.
-    """
+    """Predictor mean vectors per the legacy formula (``legacy_u1``) on the
+    eigenstructure of ``result``, the fit of ``data`` under ``spec``, without
+    refitting or whitening (without ``result`` the data is fitted first).
+    Corrected minus legacy means is thus exactly the per-row predictor means
+    (intercept model) or zero (no-intercept model) under every covariance
+    shape. Raises ``ValidationError`` if ``result`` is a fit under another
+    model kind or covariance shape, or of another data size."""
     if result is None:
         result = fit(data, spec)
     # array_equal is also True for None against None, False for None against a matrix
     elif (result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape
           or not np.array_equal(result.sigma0, spec.sigma0)):
         raise ValidationError("result is not a fit of this data under this model")
-    u1 = np.empty(data.x1.shape)
-    for cols in _column_blocks(data.n):
-        block = _View(data.x1[:, cols], data.x2[:, cols], data)
-        legacy_u1(block, result.eigenstructure, spec.kind, out=u1[:, cols])
-    return u1
+    return legacy_u1(data, result.eigenstructure, spec.kind)

@@ -124,17 +124,12 @@ class ObservedData:
 
 
 class _View(ObservedData):
-    """Blocks of checked data (columns, a stack, rows of a working copy), neither
-    copied nor rechecked; its row means are ``whole``'s when given, else its own."""
+    """Blocks of checked data (a stack, rows of a working copy), neither copied
+    nor rechecked."""
 
-    def __init__(self, x1, x2, whole: ObservedData | None = None):
+    def __init__(self, x1, x2):
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "whole", whole)
-
-    @cached_property
-    def row_means(self) -> np.ndarray:
-        return super().row_means if self.whole is None else self.whole.row_means
 
 
 @dataclass(frozen=True)
@@ -183,26 +178,26 @@ class EigenStructure:
 
 
 def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
-    """Scatter matrix W of the (centered) stacked observations.
+    """Scatter matrix W of the (centered) stacked observations: the sum of the
+    Gram matrices of the blocks of ``_centered_blocks``, so W is exactly
+    symmetric. Observation blocks with leading axes, a stack of datasets, give
+    one W per dataset, bit for bit the W of that dataset alone."""
+    return sum(_gram(block) for _, block in _centered_blocks(data, kind))
 
-    At most ``_BLOCK`` columns at a time are copied into one reused buffer,
-    less ``data.row_means`` for the intercept model, and the buffer's Gram
-    is added to W, so W is exactly symmetric. ``ObservedData`` holds finite
-    copies. Observation blocks with leading axes, a stack of datasets, give
-    one W per dataset, bit for bit the W of that dataset alone.
-    """
+
+def _centered_blocks(data: ObservedData, kind: ModelKind):
+    """Yield each slice of ``_column_blocks`` with the stacked observations in
+    those columns less ``data.row_means`` (less 0 without an intercept, an
+    exact copy), one subtraction per block of rows into one reused (p+r)-row
+    buffer. A block is valid until the next one is yielded."""
     p, m = data.p, data.p + data.r
-    lead = data.x1.shape[:-2]
-    buffer = np.empty(lead + (m, min(data.n, _BLOCK)))
-    w = np.zeros(lead + (m, m))
+    buffer = np.empty(data.x1.shape[:-2] + (m, min(data.n, _BLOCK)))
+    means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else np.zeros((m, 1))
     for cols in _column_blocks(data.n):
         block = buffer[..., : cols.stop - cols.start]
-        block[..., :p, :] = data.x1[..., cols]
-        block[..., p:, :] = data.x2[..., cols]
-        if kind is ModelKind.INTERCEPT:
-            block -= data.row_means[..., None]
-        w += _gram(block)
-    return w
+        np.subtract(data.x1[..., cols], means[..., :p, :], out=block[..., :p, :])
+        np.subtract(data.x2[..., cols], means[..., p:, :], out=block[..., p:, :])
+        yield cols, block
 
 
 def _column_blocks(n: int) -> list[slice]:

@@ -92,10 +92,13 @@ def test_traced_identity_fit_records_every_estimator_span(monkeypatch):
     assert {
         "estimators.fit", "model_core.scatter_matrix", "model_core.signal_eigenstructure",
         "estimators.estimate_b", "estimators._graph_slope", "estimators._assemble",
-        "estimators.residual_matrix",
     } <= set(names)
-    # both objectives come from the Gram matrix of the one residual
-    assert names.count("estimators.residual_matrix") == 1
+    # one centering pass for W and one for the closed forms; both objectives
+    # come from the r-by-r Gram matrix of the graph residual, not from a
+    # stacked or a normalized residual
+    assert names.count("model_core.scatter_matrix") == 1
+    assert names.count("estimators._assemble") == 1
+    assert "estimators.residual_matrix" not in names
     assert "estimators.glse_residual" not in names
     metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
                                     overhead=0.0)

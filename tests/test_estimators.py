@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -335,12 +336,62 @@ def test_objectives_match_the_direct_residual_sums_over_several_blocks():
     test_objectives_match_the_direct_residual_sums(INTERCEPT, "dense", 1e-5, n=3 * BLOCK + 7)
 
 
+def long_double_solve(a, b):
+    """a^{-1} b in long double for a small symmetric positive definite a, by a
+    Cholesky factorisation written out (LAPACK has no long-double routines)."""
+    m = a.shape[0]
+    low = np.zeros((m, m), dtype=np.longdouble)
+    for i in range(m):
+        for j in range(i + 1):
+            rest = a[i, j] - low[i, :j] @ low[j, :j]
+            low[i, j] = np.sqrt(rest) if i == j else rest / low[j, j]
+    y = np.empty(b.shape, dtype=np.longdouble)
+    for i in range(m):
+        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+    for i in reversed(range(m)):
+        y[i] = (y[i] - low[i + 1 :, i] @ y[i + 1 :]) / low[i, i]
+    return y
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
+@pytest.mark.parametrize("sigma", [1e-1, 1e-3, 1e-5])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_objectives_match_long_double_sums_at_an_offset(kind, shape, sigma, offset):
+    # both objectives at the fitted (alpha, B), summed directly in long double:
+    # the OLSE over the residual of the sigma0-weighted projection of X onto
+    # the fitted graph, the GLSE over q = X2 - alpha 1' - B X1
+    sigma0 = SHAPES[shape]
+    truth = ev.random_truth(9, 0, kind, p=3, r=2, n=2000, sigma=sigma, sigma0=sigma0)
+    data = ev.generate_dataset(truth)
+    data = ev.ObservedData(x1=data.x1 + offset, x2=data.x2 + offset)
+    result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
+    ld = np.longdouble
+    b = result.b_hat.astype(ld)
+    weight = np.eye(5, dtype=ld) if sigma0 is None else sigma0.astype(ld)
+    x = np.vstack([data.x1, data.x2]).astype(ld)
+    x[3:] -= result.alpha_hat.astype(ld)[:, None]
+    graph = np.vstack([np.eye(3, dtype=ld), b])
+    u1 = long_double_solve(graph.T @ long_double_solve(weight, graph),
+                           graph.T @ long_double_solve(weight, x))
+    res = x - graph @ u1
+    olse = np.sum(res * long_double_solve(weight, res))
+    c = np.hstack([-b, np.eye(2, dtype=ld)])
+    q = c @ x
+    glse = np.sum(q * long_double_solve(c @ weight @ c.T, q))
+    for value, direct in ((result.olse_objective, olse), (result.glse_objective, glse)):
+        assert abs(value - direct) <= 1e-10 * direct
+
+
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_blocked_fit_means_equal_the_whole_data_estimates(kind, shape, n):
-    sigma0 = SHAPES[shape]
-    data = ev.generate_dataset(ev.random_truth(4, 1, kind, p=3, r=2, n=n, sigma0=sigma0))
+@pytest.mark.parametrize("p, r", [(3, 2), (1, 3), (3, 1), (1, 1)])
+def test_blocked_fit_means_equal_the_whole_data_estimates(p, r, kind, shape, n):
+    # a one-row factor (P with p = 1, B with r = 1) is where matmul's vector
+    # path would give a block other last bits than the whole data
+    sigma0 = None if shape == "identity" else random_spd(np.random.default_rng(77), p + r)
+    data = ev.generate_dataset(ev.random_truth(4, 1, kind, p=p, r=r, n=n, sigma0=sigma0))
     result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
     u1 = ev.estimate_u1_corrected(data, result.eigenstructure, kind)
     np.testing.assert_array_equal(result.u1_hat, u1)
@@ -557,6 +608,22 @@ def test_fit_is_equivariant_across_scales(exponent, kind):
         assert getattr(scaled, name) == pytest.approx(s * s * getattr(base, name), rel=1e-9)
     assert scaled.eigenstructure.degenerate == base.eigenstructure.degenerate
     assert scaled_warnings == base_warnings
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-40, 40), st.sampled_from([INTERCEPT, NO_INTERCEPT]),
+       st.sampled_from(sorted(SHAPES)))
+def test_fit_is_exactly_equivariant_under_powers_of_two(k, kind, shape):
+    # scaling by 2^k is exact, and so is every step of a fit
+    spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
+    data = ev.generate_dataset(ev.random_truth(23, 0, kind, p=3, r=2, n=300, sigma0=spec.sigma0))
+    base = ev.fit(data, spec)
+    scaled = ev.fit(ev.ObservedData(x1=np.ldexp(data.x1, k), x2=np.ldexp(data.x2, k)), spec)
+    np.testing.assert_array_equal(scaled.b_hat, base.b_hat)
+    for name in ("alpha_hat", "u1_hat", "u2_hat"):
+        np.testing.assert_array_equal(getattr(scaled, name), np.ldexp(getattr(base, name), k))
+    for name in ("olse_objective", "glse_objective"):
+        assert getattr(scaled, name) == math.ldexp(getattr(base, name), 2 * k)
 
 
 def test_slope_gram_identity():
