@@ -184,8 +184,7 @@ def read_sigma0(path, size: int) -> np.ndarray:
             f"{path}: covariance shape must be {size}x{size} to match p + r"
         )
     matrix = _parse_cells(path, rows, range(1, size + 1))
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * scale:
+    if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * float(np.max(np.abs(matrix))):
         raise ValidationError(f"{path}: covariance shape is asymmetric beyond 1e-8 relative")
     return (matrix + matrix.T) / 2.0
 

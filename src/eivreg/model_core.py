@@ -1,7 +1,7 @@
 """Observed-data model, scatter matrix, and its eigenstructure.
 
 Everything the estimators consume but do not own lives here: the observation
-blocks and their row means, the intercept/no-intercept model choice, the
+matrix and its row means, the intercept/no-intercept model choice, the
 scatter matrix W of the (optionally centered) observations, and the signal
 basis of W's descending eigendecomposition that the slope and mean-vector
 estimators read, with its spectrum and diagnostics.
@@ -34,15 +34,20 @@ class ModelKind(Enum):
     INTERCEPT = "intercept"
 
 
-def _as_matrix(value, name: str, ndim: int = 2) -> np.ndarray:
-    """Return a read-only float64 copy of a 2-D array (1-D with ``ndim=1``)
-    with finite entries."""
-    arr = np.array(value, dtype=float, copy=True)
+def _finite(value, name: str, ndim: int = 2) -> np.ndarray:
+    """``value`` as a finite float64 2-D array (1-D with ``ndim=1``), not copied if it is one."""
+    arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
         shape = "matrix" if ndim == 2 else "vector"
         raise ValidationError(f"{name} must be a {ndim}-D {shape}, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _as_matrix(value, name: str, ndim: int = 2) -> np.ndarray:
+    """A read-only copy of ``_finite(value, name, ndim)``."""
+    arr = np.array(_finite(value, name, ndim))
     arr.setflags(write=False)
     return arr
 
@@ -70,66 +75,63 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObservedData:
-    """Stacked observation blocks.
-
-    ``x1`` is the p-by-n predictor block and ``x2`` the r-by-n response block;
-    column i of each holds the i-th observed vector. Entries must be finite.
-    Fitting additionally requires n >= 2 (and n >= p + 1 for the intercept
-    model); those checks live at the fit/ingestion boundary so that partial
-    objects (e.g. a single column) can still flow through the scatter
-    operation.
+    """The observations, stored once: ``x`` is the read-only, C-contiguous
+    (p+r)-by-n matrix whose rows are the p-row predictor block ``x1`` and then
+    the r-row response block ``x2``, both views; column i is the i-th observed
+    vector. ``ObservedData(x1, x2)`` checks that the blocks are finite and
+    share n >= 1 columns, and copies them into ``x``. Fitting also requires
+    n >= 2 (n >= p + 1 for the intercept model), checked at the fit/ingestion
+    boundary so that partial objects (a single column) can still be scattered.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
+    x: np.ndarray
+    p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "x1", _as_matrix(self.x1, "x1"))
-        object.__setattr__(self, "x2", _as_matrix(self.x2, "x2"))
-        if self.x1.shape[0] < 1 or self.x2.shape[0] < 1:
+    def __init__(self, x1, x2):
+        x1, x2 = _finite(x1, "x1"), _finite(x2, "x2")
+        if len(x1) < 1 or len(x2) < 1:
             raise ValidationError("x1 and x2 must each have at least one row")
-        if self.x1.shape[1] != self.x2.shape[1]:
-            raise ValidationError(
-                f"x1 and x2 must share the observation count, got "
-                f"{self.x1.shape[1]} != {self.x2.shape[1]}"
-            )
-        if self.n < 1:
+        if x1.shape[1] != x2.shape[1]:
+            raise ValidationError(f"x1 and x2 must share the observation count, got "
+                                  f"{x1.shape[1]} != {x2.shape[1]}")
+        if x1.shape[1] < 1:
             raise ValidationError("at least one observation column is required")
+        # one copy, row-contiguous whatever the layout of the blocks
+        x = np.concatenate([x1, x2], out=np.empty((len(x1) + len(x2), x1.shape[1])))
+        x.setflags(write=False)
+        vars(self).update(x=x, p=len(x1))
+
+    @classmethod
+    def _of(cls, x: np.ndarray, p: int) -> ObservedData:
+        """Checked observations ``x`` (a stack, a working copy) with p predictor rows, as is."""
+        data = object.__new__(cls)
+        vars(data).update(x=x, p=p)
+        return data
 
     @property
-    def p(self) -> int:
-        return self.x1.shape[-2]
+    def x1(self) -> np.ndarray:
+        return self.x[..., : self.p, :]
+
+    @property
+    def x2(self) -> np.ndarray:
+        return self.x[..., self.p :, :]
 
     @property
     def r(self) -> int:
-        return self.x2.shape[-2]
+        return self.x.shape[-2] - self.p
 
     @property
     def n(self) -> int:
-        return self.x1.shape[-1]
+        return self.x.shape[-1]
 
     @cached_property
     def row_means(self) -> np.ndarray:
-        """The row means of x1 followed by those of x2, a read-only
-        (p+r)-vector computed on first use; the blocks are read-only too."""
-        means = np.concatenate([self.x1.mean(axis=-1), self.x2.mean(axis=-1)], axis=-1)
+        """The read-only row means of ``x`` (of each matrix of a stack), taken on first use."""
+        means = self.x.mean(axis=-1)
         means.setflags(write=False)
         return means
-
-    def stacked(self) -> np.ndarray:
-        """The (p+r)-by-n matrix with x1 on top of x2."""
-        return np.vstack([self.x1, self.x2])
-
-
-class _View(ObservedData):
-    """Blocks of checked data (a stack, rows of a working copy), neither copied
-    nor rechecked."""
-
-    def __init__(self, x1, x2):
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
 
 
 @dataclass(frozen=True)
@@ -186,17 +188,15 @@ def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
 
 
 def _centered_blocks(data: ObservedData, kind: ModelKind):
-    """Yield each slice of ``_column_blocks`` with the stacked observations in
-    those columns less ``data.row_means`` (less 0 without an intercept, an
-    exact copy), one subtraction per block of rows into one reused (p+r)-row
-    buffer. A block is valid until the next one is yielded."""
-    p, m = data.p, data.p + data.r
-    buffer = np.empty(data.x1.shape[:-2] + (m, min(data.n, _BLOCK)))
-    means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else np.zeros((m, 1))
+    """Yield each slice of ``_column_blocks`` with the columns of ``data.x``
+    in it less ``data.row_means`` (less 0 without an intercept, an exact
+    copy), one subtraction per block into one reused (p+r)-row buffer. A
+    block is valid until the next one is yielded."""
+    buffer = np.empty(data.x.shape[:-1] + (min(data.n, _BLOCK),))
+    means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else 0.0
     for cols in _column_blocks(data.n):
         block = buffer[..., : cols.stop - cols.start]
-        np.subtract(data.x1[..., cols], means[..., :p, :], out=block[..., :p, :])
-        np.subtract(data.x2[..., cols], means[..., p:, :], out=block[..., p:, :])
+        np.subtract(data.x[..., cols], means, out=block)
         yield cols, block
 
 
@@ -236,8 +236,7 @@ def signal_eigenstructure(w, p: int, root=None) -> EigenStructure:
         raise ValidationError("w contains non-finite entries")
     if not 1 <= p < w.shape[-1]:
         raise ValidationError(f"p must satisfy 1 <= p < {w.shape[-1]}, got {p}")
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1)))
-    if np.any(np.max(np.abs(w - w.mT), axis=(-2, -1)) > 1e-10 * scale):
+    if np.any(np.max(np.abs(w - w.mT), axis=(-2, -1)) > 1e-10 * np.max(np.abs(w), axis=(-2, -1))):
         raise ValidationError("w is not symmetric to 1e-10 relative")
     eigenvalues, g = np.linalg.eigh((w + w.mT) / 2.0)
     # stable sort keeps the solver's tie order for repeated eigenvalues

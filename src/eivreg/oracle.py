@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimators import FitResult
 from .exceptions import ValidationError
-from .model_core import ModelKind, ObservedData, _require_count, _View
+from .model_core import ModelKind, ObservedData, _require_count
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
@@ -71,8 +71,7 @@ def project_columns_oracle(data: ObservedData, alpha, b, sigma0=None) -> np.ndar
     b = np.asarray(b, dtype=float)
     p = data.p
     graph_map = np.vstack([np.eye(p), b])
-    shifted = data.stacked()
-    shifted[p:] -= alpha[:, None]
+    shifted = data.x - np.concatenate([np.zeros(p), alpha])[:, None]
     weighted = graph_map if sigma0 is None else np.linalg.solve(sigma0, graph_map)
     normal = graph_map.T @ weighted
     # column i of the right-hand side holds column i's own normal equations
@@ -90,10 +89,11 @@ def stationarity_limit(glse_objective: float) -> float:
 
 
 def _olse_objective(data, alpha, b, u1) -> float:
-    """Squared Frobenius norm of the full residual, assembled locally."""
+    """Squared Frobenius norm of the full residual, assembled locally, squared in place."""
     top = data.x1 - u1
-    bottom = data.x2 - np.asarray(alpha, dtype=float)[:, None] - b @ u1
-    return float(np.sum(top * top) + np.sum(bottom * bottom))
+    bottom = data.x2 - np.asarray(alpha, dtype=float)[:, None]
+    bottom -= b @ u1
+    return float(np.sum(np.square(top, out=top)) + np.sum(np.square(bottom, out=bottom)))
 
 
 def _glse_objective(data, alpha, b) -> float:
@@ -102,8 +102,10 @@ def _glse_objective(data, alpha, b) -> float:
     Uses the trace identity res' (I + BB')^{-1} res instead of an explicit
     square root; the objective is invariant to that choice.
     """
-    res = data.x2 - np.asarray(alpha, dtype=float)[:, None] - b @ data.x1
-    return float(np.sum(res * np.linalg.solve(np.eye(data.x2.shape[0]) + b @ b.T, res)))
+    res = data.x2 - np.asarray(alpha, dtype=float)[:, None]
+    res -= b @ data.x1
+    weighted = np.linalg.solve(np.eye(data.r) + b @ b.T, res)
+    return float(np.sum(np.multiply(weighted, res, out=weighted)))
 
 
 def _mean_residual(x2_mean, alpha, b, z_mean):
@@ -200,11 +202,11 @@ def _forward(lower, rows):
 
 
 def _working_view(data, fit_result):
-    """A writable (p+r)-by-n copy of the data, the fitted triple and the legacy
-    means' shift, in the coordinates where the identity-shape least-squares
-    criteria apply: the data's own, or, under a covariance shape
-    sigma0 = L L', whitened in place by L^{-1}, with L its lower Cholesky
-    factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
+    """A writable copy of the data (an ``ObservedData``), the fitted triple
+    and the legacy means' shift, in the coordinates where the identity-shape
+    least-squares criteria apply: the data's own, or, under a covariance
+    shape sigma0 = L L', whitened in place by L^{-1}, with L its lower
+    Cholesky factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
     and graph L^{-1} [I; B]. L^{-1} is lower triangular, so the whitened mean
     vectors are L11^{-1} U1 and the shift L11^{-1} xbar1, through the top
     p-by-p block L11 alone, and U2 is not read."""
@@ -214,7 +216,7 @@ def _working_view(data, fit_result):
     u1 = np.asarray(fit_result.u1_hat, dtype=float)
     intercept = fit_result.kind is ModelKind.INTERCEPT
     x1_mean = data.x1.mean(axis=1, keepdims=True)
-    work = data.stacked()
+    work = ObservedData._of(data.x.copy(), p)
     if fit_result.sigma0 is None:
         return work, alpha, b, u1, x1_mean if intercept else 0.0
     root = np.linalg.cholesky(fit_result.sigma0)
@@ -223,7 +225,8 @@ def _working_view(data, fit_result):
     alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha]))[p:]
     top = root[:p, :p]
     legacy_shift = _forward(top, x1_mean) if intercept else 0.0
-    return _forward(root, work), alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
+    _forward(root, work.x)
+    return work, alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
 
 
 def _draw_trials(trials: range, seed, scale, alpha, b, u1, perturb_alpha):
@@ -339,9 +342,7 @@ def perturbation_probe(
     max_abs_deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
     del oracle_u1  # n-sized: keep it out of the later peaks
 
-    work, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
-    # the rows of the working copy, read as the blocks of an ObservedData
-    view = _View(work[: data.p], work[data.p :])
+    view, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
     base = _olse_objective(view, alpha, b, u1)
     legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
 
@@ -362,7 +363,7 @@ def perturbation_probe(
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
         draws = _draw_trials(block, seed, scale, alpha, b, u1, perturb_alpha)
-        changes = _trial_changes(work, u1, b, moments, *draws)
+        changes = _trial_changes(view.x, u1, b, moments, *draws)
         violations += sum(change < -slack for change in changes.tolist())
 
     passed = (

@@ -18,7 +18,7 @@ from .estimators import _eigenstructure, _slopes, _with_mean_shift, legacy_u1
 from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 2)
 from .exceptions import ExcessiveSkipsError, ValidationError
 from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix, _covariance_shape
-from .model_core import _require_count, _View
+from .model_core import _require_count
 
 # Share of replicates that may be skipped before an experiment fails.
 MAX_SKIP_FRACTION = 0.10
@@ -211,7 +211,7 @@ def _require_nonnegative_seed(seed: int) -> None:
 def _fit_stack(stack: np.ndarray, spec: ModelSpec, p: int):
     """Slope, the mask of the unidentifiable, and legacy and corrected means of
     each dataset in a (k, p+r, n) stack, bit for bit those of ``fit``."""
-    data = _View(stack[:, :p], stack[:, p:])
+    data = ObservedData._of(stack, p)
     es = _eigenstructure(data, spec.kind, spec.sigma0)
     legacy = legacy_u1(data, es, spec.kind)
     return *_slopes(es), legacy, _with_mean_shift(legacy, data, spec.kind)

@@ -10,7 +10,7 @@ def dataset_csv(tmp_path):
     def write(data, name="data.csv"):
         names = [f"x1_{k + 1}" for k in range(data.p)] + [f"x2_{k + 1}" for k in range(data.r)]
         path = tmp_path / name
-        np.savetxt(path, data.stacked().T, fmt="%.17g", delimiter=",",
+        np.savetxt(path, data.x.T, fmt="%.17g", delimiter=",",
                    header=",".join(names), comments="")
         return str(path)
 

@@ -122,10 +122,10 @@ def mean_calls(action) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("kind, passes", [(INTERCEPT, 2), (NO_INTERCEPT, 0)])
+@pytest.mark.parametrize("kind, passes", [(INTERCEPT, 1), (NO_INTERCEPT, 0)])
 @pytest.mark.parametrize("with_sigma0", [False, True])
 def test_fit_and_legacy_means_take_the_row_means_once(kind, passes, with_sigma0):
     data = ev.generate_dataset(ev.random_truth(9, 5, kind, p=3, r=2, n=20))
     spec = ev.ModelSpec(kind=kind, sigma0=dense_sigma0(5) if with_sigma0 else None)
-    # one mean per block, x1 and x2, for the intercept model; none without one
+    # one mean over data.x for the intercept model; none without one
     assert mean_calls(lambda: ev.legacy_means(data, spec, ev.fit(data, spec))) == passes

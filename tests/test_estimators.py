@@ -441,7 +441,7 @@ def test_fit_sigma0_is_equivariant_under_a_block_diagonal_change_of_units(kind):
     moved_spec = ev.ModelSpec(kind=kind, sigma0=t @ spec.sigma0 @ t.T)
     base = ev.fit(data, spec)
     moved = ev.fit(moved_data, moved_spec)
-    scale = float(np.max(np.abs(moved_data.stacked())))
+    scale = float(np.max(np.abs(moved_data.x)))
     expected_b = np.linalg.solve(t1.T, (t2 @ base.b_hat).T).T
     assert_close(moved.b_hat, expected_b, float(np.max(np.abs(expected_b))))
     assert_close(moved.alpha_hat, t2 @ base.alpha_hat, scale)
@@ -458,15 +458,18 @@ def test_fit_sigma0_corrected_minus_legacy_is_the_mean_shift(kind):
     result = ev.fit(data, spec)
     shift = data.x1.mean(axis=1, keepdims=True) if kind is INTERCEPT else 0.0
     assert_close(result.u1_hat - ev.legacy_means(data, spec, result), shift,
-                 float(np.max(np.abs(data.stacked()))))
+                 float(np.max(np.abs(data.x))))
 
 
 def test_fit_sigma0_never_builds_whitened_observations(monkeypatch):
     _, data, spec = dense_sigma0_instance(INTERCEPT, 73)
     built = []
-    original = ev.ObservedData.__post_init__
-    monkeypatch.setattr(ev.ObservedData, "__post_init__",
-                        lambda self: built.append(self) or original(self))
+    init, wrap = ev.ObservedData.__init__, ev.ObservedData._of.__func__
+    # both ways to build one: the checked constructor and the unchecked wrapper
+    monkeypatch.setattr(ev.ObservedData, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    monkeypatch.setattr(ev.ObservedData, "_of",
+                        classmethod(lambda cls, *args: built.append(args) or wrap(cls, *args)))
     ev.legacy_means(data, spec, ev.fit(data, spec))
     assert built == []
 

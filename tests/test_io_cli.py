@@ -71,6 +71,13 @@ def test_dataset_roundtrip_is_lossless(dataset_csv):
     np.testing.assert_array_equal(back.x2, data.x2)
 
 
+def test_read_dataset_stores_the_observations_row_contiguously(dataset_csv):
+    truth = ev.random_truth(3, 2, INTERCEPT, p=3, r=2, n=15)
+    data = io_cli.read_dataset(dataset_csv(ev.generate_dataset(truth)))
+    assert data.x.flags.c_contiguous
+    assert data.x1.strides == data.x2.strides == (8 * data.n, 8)
+
+
 def test_read_sigma0(tmp_path):
     path = write(tmp_path, "s.csv", "2.0,0.5\n0.5,1.0\n")
     np.testing.assert_array_equal(io_cli.read_sigma0(path, 2), [[2.0, 0.5], [0.5, 1.0]])
@@ -448,6 +455,20 @@ def test_cli_fit_sigma0_identity_matches(tmp_path, capsys):
     report = json.loads(out)
     assert report["model"]["sigma0"] == "provided"
     assert report["estimates"]["b_hat"]["data"][0][0] == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_cli_rejects_an_asymmetric_sigma0_at_every_scale(tmp_path, capsys, k):
+    # asymmetry 1e-6 relative to the largest entry, at the power-of-two scale 2^k
+    shape = np.array([[2.0, 0.5], [0.5 + 2e-6, 1.0]]) * 2.0**k
+    sigma_path = tmp_path / "s0.csv"
+    np.savetxt(sigma_path, shape, fmt="%.17g", delimiter=",")
+    code, out, err = run_cli(capsys, [
+        "fit", "--input", write(tmp_path, "dsb.csv", DSB_CSV), "--p", "1", "--r", "1",
+        "--intercept", "--sigma0", str(sigma_path),
+    ])
+    assert (code, out) == (1, "")
+    assert "asymmetric beyond 1e-8 relative" in err
 
 
 def test_cli_usage_error_exits_1_without_report(tmp_path, capsys):

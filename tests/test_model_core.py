@@ -22,7 +22,7 @@ def dsb():
 def test_observed_data_shapes():
     data = dsb()
     assert (data.p, data.r, data.n) == (1, 1, 3)
-    np.testing.assert_array_equal(data.stacked(), [[0, 1, 2], [1, 3, 5]])
+    np.testing.assert_array_equal(data.x, [[0, 1, 2], [1, 3, 5]])
 
 
 def test_observed_data_rejects_non_finite():
@@ -153,7 +153,7 @@ BLOCK = model_core._BLOCK
 def test_blocked_scatter_is_the_symmetric_centered_gram(n, kind, seed):
     # W is summed over blocks of columns; a single column goes through it too
     stack = np.random.default_rng(seed).normal(loc=3.0, size=(3, 5, n))
-    replicates = model_core._View(stack[:, :2], stack[:, 2:])
+    replicates = ev.ObservedData._of(stack, 2)
     w_stack = ev.scatter_matrix(replicates, kind)
     for x, w_stacked in zip(stack, w_stack):
         w = ev.scatter_matrix(ev.ObservedData(x1=x[:2], x2=x[2:]), kind)
@@ -246,6 +246,14 @@ def test_eigenstructure_scaling_leaves_slope_unchanged():
 def test_eigenstructure_rejects_asymmetric():
     with pytest.raises(ev.ValidationError):
         ev.signal_eigenstructure([[1.0, 2.0], [0.0, 1.0]], p=1)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_eigenstructure_symmetry_check_ignores_the_scale_of_w(k):
+    # asymmetry 1e-8 relative to the largest entry, at the power-of-two scale 2^k
+    w = np.array([[2.0, 1.0], [1.0 + 2e-8, 1.0]]) * 2.0**k
+    with pytest.raises(ev.ValidationError, match="not symmetric"):
+        ev.signal_eigenstructure(w, p=1)
 
 
 def test_eigenstructure_rejects_bad_p():

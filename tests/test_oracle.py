@@ -63,12 +63,11 @@ def per_column_oracle(data, alpha, b, sigma0=None):
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
     p, n = data.p, data.n
-    stacked = data.stacked()
     offset = np.concatenate([np.zeros(p), alpha])
     u1 = np.empty((p, n))
     for i in range(n):
         graph_map = np.vstack([np.eye(p), b])
-        shifted = stacked[:, i] - offset
+        shifted = data.x[:, i] - offset
         if sigma0 is None:
             normal = graph_map.T @ graph_map
             rhs = graph_map.T @ shifted
@@ -313,7 +312,7 @@ def probe_coordinates(data, fit_result):
         return data, alpha, b, u1
     root = np.linalg.cholesky(fit_result.sigma0)
     p = data.p
-    white = np.linalg.solve(root, data.stacked())
+    white = np.linalg.solve(root, data.x)
     mapped = np.linalg.solve(root, np.vstack([np.eye(p), b]))
     b = np.linalg.solve(mapped[:p].T, mapped[p:].T).T
     alpha = np.linalg.solve(root, np.concatenate([np.zeros(p), alpha]))[p:]
@@ -492,6 +491,22 @@ def test_probe_under_sigma0_whitens_into_one_buffer(large_fits):
     data, fits = large_fits
     input_size = data.x1.nbytes + data.x2.nbytes
     assert probe_peak(data, fits["dense"], 200) <= probe_peak(data, fits["identity"], 200) + input_size
+
+
+def test_olse_objective_squares_its_residual_in_place(large_fits):
+    data, fits = large_fits
+    fit = fits["identity"]
+    tracemalloc.start()
+    try:
+        value = oracle._olse_objective(data, fit.alpha_hat, fit.b_hat, fit.u1_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the residual blocks and one product: 1.4 times the data for (p, r) = (3, 2)
+    assert peak <= 1.5 * data.x.nbytes
+    top = data.x1 - fit.u1_hat
+    bottom = data.x2 - fit.alpha_hat[:, None] - fit.b_hat @ fit.u1_hat
+    assert value == float(np.sum(top * top) + np.sum(bottom * bottom))
 
 
 @pytest.mark.parametrize("shape", ["identity", "dense"])

@@ -44,7 +44,7 @@ def test_generation_deterministic_given_seed():
     truth = ev.random_truth(7, 3, INTERCEPT)
     first = ev.generate_dataset(truth)
     second = ev.generate_dataset(truth)
-    np.testing.assert_array_equal(first.stacked(), second.stacked())
+    np.testing.assert_array_equal(first.x, second.x)
 
 
 @pytest.mark.parametrize("error_kind", [ev.ErrorKind.GAUSSIAN, ev.ErrorKind.UNIFORM_CENTERED])
@@ -59,7 +59,7 @@ def test_error_covariance_matches_request(error_kind):
         error_kind=error_kind,
         seed=12,
     )
-    errors = ev.generate_dataset(truth).stacked()
+    errors = ev.generate_dataset(truth).x
     sample_cov = errors @ errors.T / n
     bound = 5.0 * sigma2 * np.sqrt(2.0 / n)
     np.testing.assert_allclose(sample_cov, sigma2 * np.eye(2), atol=bound)
@@ -76,7 +76,7 @@ def test_error_covariance_with_shape():
         sigma0=sigma0,
         seed=21,
     )
-    errors = ev.generate_dataset(truth).stacked()
+    errors = ev.generate_dataset(truth).x
     sample_cov = errors @ errors.T / n
     np.testing.assert_allclose(sample_cov, 0.5 * sigma0, atol=5.0 * np.sqrt(2.0 / n))
 
