@@ -310,11 +310,19 @@ def legacy_means(
     Corrected minus legacy means is thus exactly the per-row predictor means
     (intercept model) or zero (no-intercept model) under every covariance
     shape. Raises ``ValidationError`` if ``result`` is a fit under another
-    model kind or covariance shape, or of another data size."""
+    model kind or covariance shape, or of another p, r or n."""
     if result is None:
         result = fit(data, spec)
+    _require_fit_of(data, result)
     # array_equal is also True for None against None, False for None against a matrix
-    elif (result.kind is not spec.kind or result.u1_hat.shape != data.x1.shape
-          or not np.array_equal(result.sigma0, spec.sigma0)):
+    if result.kind is not spec.kind or not np.array_equal(result.sigma0, spec.sigma0):
         raise ValidationError("result is not a fit of this data under this model")
     return legacy_u1(data, result.eigenstructure, spec.kind)
+
+
+def _require_fit_of(data: ObservedData, result: FitResult) -> None:
+    """Raise ``ValidationError`` unless ``result`` fits data of ``data``'s p, r and n."""
+    if result.b_hat.shape != (data.r, data.p) or result.u1_hat.shape != data.x1.shape:
+        fitted = (result.b_hat.shape[1], result.b_hat.shape[0], result.u1_hat.shape[-1])
+        raise ValidationError(f"result is a fit of (p, r, n) = {fitted}, "
+                              f"not of this data's {(data.p, data.r, data.n)}")

@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .estimators import FitResult, estimate_u1_projection, legacy_u1
+from .estimators import FitResult, _require_fit_of, estimate_u1_projection, legacy_u1
 from .exceptions import ValidationError
-from .model_core import ModelKind, ModelSpec, ObservedData
+from .model_core import ModelKind, ObservedData
 
 # the rows of the `eivreg verify` table, in the order it prints them
 NAMES = (
@@ -65,12 +65,14 @@ def glse_stationarity(data: ObservedData, result: FitResult) -> float:
     return _max_abs(gradient) / oracle.stationarity_limit(result.glse_objective)
 
 
-def check_fit(data: ObservedData, spec: ModelSpec, result: FitResult) -> dict:
-    """Every invariant's ratio by row name, in evaluation order; stationarity
-    is left out when the signal subspace is degenerate."""
-    if spec.sigma0 is not None or result.kind is not spec.kind:
-        raise ValidationError("the invariants take a fit under this model without sigma0")
-    shift_name = NAMES[1] if spec.kind is ModelKind.INTERCEPT else NAMES[3]
+def check_fit(data: ObservedData, result: FitResult) -> dict:
+    """Every invariant's ratio by row name, in evaluation order, for a fit of
+    ``data`` without sigma0 (else ``ValidationError``); stationarity is left
+    out when the signal subspace is degenerate."""
+    _require_fit_of(data, result)
+    if result.sigma0 is not None:
+        raise ValidationError("the invariants take a fit without sigma0")
+    shift_name = NAMES[1] if result.kind is ModelKind.INTERCEPT else NAMES[3]
     ratios = {
         "mean-route-equivalence": mean_route_equivalence(data, result),
         shift_name: mean_shift(data, result),

@@ -31,13 +31,12 @@ from .exceptions import (
     UnidentifiableError,
     ValidationError,
 )
-from .model_core import ModelKind, ModelSpec, ObservedData
+from .model_core import ModelKind, ModelSpec, ObservedData, _require_count, _require_positive
 from .oracle import AGREEMENT_TOL, perturbation_probe
 from .simulate import (
     ConsistencyReport,
     ErrorKind,
     SyntheticTruth,
-    _require_nonnegative_seed,
     consistency_experiment,
     default_mean_grid,
     generate_dataset,
@@ -211,25 +210,24 @@ def _matrix_payload(matrix) -> dict:
 
 
 def build_fit_report(
-    data: ObservedData,
-    spec: ModelSpec,
     result: FitResult,
     input_path,
     emit_means: bool = False,
     legacy=None,
     oracle_report=None,
 ) -> dict:
-    """Assemble the structured fit report (JSON-ready, plain Python values)."""
+    """Assemble the structured fit report (JSON-ready, plain Python values);
+    the model's kind, sigma0, p, r and n are read from ``result``."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "input_checksum": _sha256(input_path),
         "model": {
-            "kind": spec.kind.value,
-            "p": data.p,
-            "r": data.r,
-            "n": data.n,
-            "sigma0": "identity" if spec.sigma0 is None else "provided",
+            "kind": result.kind.value,
+            "p": result.b_hat.shape[1],
+            "r": result.b_hat.shape[0],
+            "n": result.u1_hat.shape[1],
+            "sigma0": "identity" if result.sigma0 is None else "provided",
         },
         "estimates": {
             "b_hat": _matrix_payload(result.b_hat),
@@ -382,15 +380,14 @@ def run_verify_suite(seed: int, instances: int) -> dict:
     keeps its worst deviation-to-limit ratio (above 1 fails); the first
     failing instance, if any, is kept for reproduction.
     """
-    if instances < 1:
-        raise ValidationError(f"instances must be >= 1, got {instances}")
+    _require_count("instances", instances, 1)
     checks = {name: {"checked": 0, "max_ratio": 0.0} for name in invariants.NAMES}
     first_failure = None
     for index in range(instances):
         kind = ModelKind.INTERCEPT if index % 2 == 0 else ModelKind.NO_INTERCEPT
         data = generate_dataset(random_truth(seed, index, kind))
         spec = ModelSpec(kind=kind)
-        for name, ratio in invariants.check_fit(data, spec, fit(data, spec)).items():
+        for name, ratio in invariants.check_fit(data, fit(data, spec)).items():
             entry = checks[name]
             entry["checked"] += 1
             entry["max_ratio"] = max(entry["max_ratio"], ratio)
@@ -521,8 +518,7 @@ def _write_output(text: str, output) -> None:
 
 
 def _cmd_fit(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
+    _require_positive("--tol", args.tol)
     data = read_dataset(args.input, args.p, args.r)
     kind = _kind_from_args(args)
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
@@ -530,14 +526,9 @@ def _cmd_fit(args) -> int:
     result = fit(data, spec)
     oracle_report = None
     if args.verify:
-        oracle_report = perturbation_probe(
-            data, result, trials=200, scale=1e-3, seed=FIT_VERIFY_SEED,
-            tol=args.tol,
-        )
+        oracle_report = perturbation_probe(data, result, 200, FIT_VERIFY_SEED, tol=args.tol)
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(
-        data=data,
-        spec=spec,
         result=result,
         input_path=args.input,
         emit_means=args.emit_means,
@@ -565,14 +556,14 @@ def _cmd_simulate(args) -> int:
     if not (np.isfinite(args.sigma) and args.sigma >= 0):
         raise ValidationError(f"--sigma must be finite and >= 0, got {args.sigma}")
     grid = _parse_grid(args.n_grid)
-    _require_nonnegative_seed(args.seed)
+    _require_count("seed", args.seed, 0)
     rng = np.random.default_rng([args.seed, 0])
     b = rng.standard_normal((args.r, args.p))
     alpha = rng.standard_normal(args.r) if kind is ModelKind.INTERCEPT else np.zeros(args.r)
     # template means in [0, 2] per row: nonzero row means make the legacy
     # estimate's defect visible in the intercept model
     template = SyntheticTruth(
-        u1=default_mean_grid(args.p, 64, spread=1.0, offset=1.0),
+        u1=default_mean_grid(args.p, 64, offset=1.0),
         b=b,
         alpha=alpha,
         sigma2=args.sigma * args.sigma,

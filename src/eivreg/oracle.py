@@ -27,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult
-from .exceptions import ValidationError
-from .model_core import ModelKind, ObservedData, _require_count
+from .estimators import FitResult, _require_fit_of
+from .model_core import ModelKind, ObservedData, _require_count, _require_positive
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
+# Standard deviation of a probe perturbation, relative to one plus the entry it moves.
+PERTURBATION_SCALE = 1e-3
+# Step of the gradient check's central differences.
+GRADIENT_STEP = 1e-6
 # Columns of the mean vectors one probe trial moves; all of them when n is at most this.
 PROBE_COLUMNS = 256
 # Trials the probe draws and evaluates together; bounds its memory whatever the trial count.
@@ -170,8 +173,8 @@ def _glse_values(data, alpha, b, d_alpha, d_b) -> np.ndarray:
     return np.trace(np.linalg.solve(normal, grams), axis1=-2, axis2=-1)
 
 
-def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the normalized-residual objective.
+def glse_gradient_check(data: ObservedData, alpha, b) -> np.ndarray:
+    """Central finite differences, step ``GRADIENT_STEP``, of the GLSE objective.
 
     Returns the gradient estimate over the intercept coordinates followed by
     the slope coordinates in row-major order (length r + r*p). At the fitted
@@ -180,16 +183,14 @@ def glse_gradient_check(data: ObservedData, alpha, b, step: float = 1e-6) -> np.
     moments of the residual at (alpha, B); each of the 2(r + rp) objective
     values then costs O((p + r)^3), whatever n.
     """
-    if not 1e-9 <= step <= 1e-3:
-        raise ValidationError(f"step must lie in [1e-9, 1e-3], got {step}")
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
     m = alpha.size + b.size
     # row k moves coordinate k of (alpha, vec B) by +step, row m + k by -step
-    offsets = np.vstack([np.eye(m), -np.eye(m)]) * step
+    offsets = np.vstack([np.eye(m), -np.eye(m)]) * GRADIENT_STEP
     values = _glse_values(data, alpha, b, offsets[:, : alpha.size],
                           offsets[:, alpha.size :].reshape(2 * m, *b.shape))
-    return (values[:m] - values[m:]) / (2.0 * step)
+    return (values[:m] - values[m:]) / (2.0 * GRADIENT_STEP)
 
 
 def _forward(lower, rows):
@@ -229,15 +230,15 @@ def _working_view(data, fit_result):
     return work, alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
 
 
-def _draw_trials(trials: range, seed, scale, alpha, b, u1, perturb_alpha):
+def _draw_trials(trials: range, seed, alpha, b, u1, perturb_alpha):
     """The perturbations of (alpha, B, U1) of the given trials, stacked.
 
     Trial t draws from its own stream ``default_rng([seed, t])``, in order:
     the intercept's normal deviates (only when it is perturbed), the slope's,
     the mean vectors' on k = min(n, PROBE_COLUMNS) columns (a p-by-k block in
     row-major order), and last, only when n > k, which k distinct columns
-    they move. Each deviate is scaled by ``scale`` times one plus the
-    magnitude of the entry it moves. Returns the shifts of alpha (t, r) and
+    they move. Each deviate is scaled by ``PERTURBATION_SCALE`` times one plus
+    the magnitude of the entry it moves. Returns the shifts of alpha (t, r) and
     B (t, r, p), the mean-vector shifts (t, p, k) and their columns (t, k).
     """
     (p, n), r = u1.shape, b.shape[0]
@@ -258,9 +259,9 @@ def _draw_trials(trials: range, seed, scale, alpha, b, u1, perturb_alpha):
         if n > k:
             columns[row] = rng.choice(n, size=k, replace=False)
     for shift, value in ((d_alpha, alpha), (d_b, b)):
-        shift *= scale
+        shift *= PERTURBATION_SCALE
         shift *= 1.0 + np.abs(value)
-    d_u1 *= scale
+    d_u1 *= PERTURBATION_SCALE
     d_u1 *= 1.0 + np.abs(np.moveaxis(u1[:, columns], 1, 0))
     return d_alpha, d_b, d_u1, columns
 
@@ -290,16 +291,10 @@ def _trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns) -> np.
     return changes
 
 
-def _require_positive(name: str, value) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-
-
 def perturbation_probe(
     data: ObservedData,
     fit_result: FitResult,
     trials: int,
-    scale: float,
     seed: int,
     *,
     tol: float = AGREEMENT_TOL,
@@ -309,10 +304,10 @@ def perturbation_probe(
     Draws ``trials`` random perturbations of the fitted parameters and mean
     vectors and counts those that lower the least-squares objective beyond
     roundoff slack, ``PERTURBATION_SLACK`` relative to it. Each entry moves by
-    a Gaussian deviate with standard deviation ``scale`` times one plus the
-    entry's magnitude; the intercept moves only when the model has one, and
-    the mean vectors move on k = min(n, PROBE_COLUMNS) columns per trial, all
-    of them when n <= k. Trial t draws from its own stream
+    a Gaussian deviate with standard deviation ``PERTURBATION_SCALE`` times
+    one plus the entry's magnitude; the intercept moves only when the model
+    has one, and the mean vectors move on k = min(n, PROBE_COLUMNS) columns
+    per trial, all of them when n <= k. Trial t draws from its own stream
     ``default_rng([seed, t])``, in order: intercept, slope, mean vectors (a
     p-by-k block in row-major order), and last, only when n > k, which k
     distinct columns move. Results do not depend on evaluation order, and for
@@ -330,11 +325,12 @@ def perturbation_probe(
     For a fit under a known covariance shape (``fit_result.sigma0``), the
     deviation check weighs distances by it and the objective-based checks
     run in whitened coordinates, where the fit's least-squares criteria live.
+    Raises ``ValidationError`` if ``fit_result`` fits another p, r or n.
     """
     _require_count("trials", trials, 1)
     _require_count("seed", seed, 0)
-    _require_positive("scale", scale)
     _require_positive("tol", tol)
+    _require_fit_of(data, fit_result)
 
     perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
     oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
@@ -362,7 +358,7 @@ def perturbation_probe(
     violations = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
-        draws = _draw_trials(block, seed, scale, alpha, b, u1, perturb_alpha)
+        draws = _draw_trials(block, seed, alpha, b, u1, perturb_alpha)
         changes = _trial_changes(view.x, u1, b, moments, *draws)
         violations += sum(change < -slack for change in changes.tolist())
 

@@ -104,21 +104,21 @@ class ConsistencyReport:
     skipped: int
 
 
-def default_mean_grid(p: int, n: int, spread: float = 1.0, offset: float = 0.0) -> np.ndarray:
+def default_mean_grid(p: int, n: int, offset: float = 0.0) -> np.ndarray:
     """Deterministic well-spread true mean vectors.
 
     Row k follows the additive sequence frac((i+1) * sqrt(m_k)) for a
-    square-free integer m_k, mapped to [offset - spread, offset + spread].
+    square-free integer m_k, mapped to [offset - 1, offset + 1].
     The rows use distinct irrationals, so the centered row scatter stays well
     conditioned at every n without a second randomness source.
     """
-    if p < 1 or n < 1:
-        raise ValidationError(f"p and n must be positive, got p={p}, n={n}")
+    _require_count("p", p, 1)
+    _require_count("n", n, 1)
     if p > len(_GRID_IRRATIONALS):
         raise ValidationError(f"mean grid supports up to {len(_GRID_IRRATIONALS)} rows")
     index = np.arange(1, n + 1, dtype=float)
     rows = [np.mod(index * np.sqrt(m), 1.0) for m in _GRID_IRRATIONALS[:p]]
-    return (2.0 * np.stack(rows) - 1.0) * spread + offset
+    return 2.0 * np.stack(rows) - 1.0 + offset
 
 
 def generate_dataset(truth: SyntheticTruth) -> ObservedData:
@@ -171,7 +171,7 @@ def random_truth(
     deterministic grid with a random per-row offset in [-2, 2]. Instance
     (seed, index) pairs map to independent substreams.
     """
-    _require_nonnegative_seed(seed)
+    _require_count("seed", seed, 0)
     _require_count("index", index, 0)
     rng = np.random.default_rng([seed, index])
     p = int(rng.integers(1, 5)) if p is None else p
@@ -203,11 +203,6 @@ def _template_grid(template_u1: np.ndarray, n: int) -> np.ndarray:
     return lo + base * span
 
 
-def _require_nonnegative_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def _fit_stack(stack: np.ndarray, spec: ModelSpec, p: int):
     """Slope, the mask of the unidentifiable, and legacy and corrected means of
     each dataset in a (k, p+r, n) stack, bit for bit those of ``fit``."""
@@ -235,7 +230,7 @@ def consistency_experiment(
     10% are skipped. Replicates are fitted in stacks under a fixed element
     budget, with results identical to fitting each one alone.
     """
-    _require_nonnegative_seed(seed)
+    _require_count("seed", seed, 0)
     _require_count("replicates", replicates, 10)
     for n in n_grid:
         _require_count("n_grid entries", n, 1)

@@ -101,8 +101,7 @@ def test_criterion_3_optimality(intercept_suite):
     demeaned_ok = True
     qualifying = 0
     for index, (_, data, result) in enumerate(intercept_suite):
-        probe = ev.perturbation_probe(data, result, trials=200, scale=1e-3,
-                                      seed=SUITE_SEED + index)
+        probe = ev.perturbation_probe(data, result, trials=200, seed=SUITE_SEED + index)
         violations_ok &= probe.perturbation_violations == 0
         if float(np.max(np.abs(data.x1.mean(axis=1)))) > 0.1:
             qualifying += 1
@@ -112,7 +111,7 @@ def test_criterion_3_optimality(intercept_suite):
         )
         demeaned_result = ev.fit(demeaned, ev.ModelSpec(kind=INTERCEPT))
         demeaned_probe = ev.perturbation_probe(demeaned, demeaned_result, trials=1,
-                                               scale=1e-3, seed=SUITE_SEED + index)
+                                               seed=SUITE_SEED + index)
         demeaned_ok &= demeaned_probe.legacy_objective_excess <= 1e-12
     report(3, "perturbation optimality",
            violations_ok and excess_ok and demeaned_ok and qualifying >= 50)
@@ -167,7 +166,7 @@ def test_criterion_8_consistency_trend():
     start = time.perf_counter()
     rng = np.random.default_rng(88)
     template = ev.SyntheticTruth(
-        u1=ev.default_mean_grid(2, 64, spread=1.0, offset=1.0),
+        u1=ev.default_mean_grid(2, 64, offset=1.0),
         b=rng.standard_normal((2, 2)),
         alpha=rng.standard_normal(2),
         sigma2=0.01,

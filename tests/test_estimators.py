@@ -272,7 +272,25 @@ def test_fit_identity_sigma0_matches_plain_path():
     assert white.olse_objective == pytest.approx(plain.olse_objective, abs=1e-10)
     assert white.glse_objective == pytest.approx(plain.glse_objective, abs=1e-10)
     with pytest.raises(ev.ValidationError):  # the invariants hold without a shape only
-        invariants.check_fit(data, ev.ModelSpec(INTERCEPT, np.eye(data.p + data.r)), white)
+        invariants.check_fit(data, white)
+
+
+@pytest.mark.parametrize("consumer, other", [
+    ("legacy_means", "r"), ("perturbation_probe", "n"), ("perturbation_probe", "r"),
+    ("check_fit", "n"), ("check_fit", "r"),
+])
+def test_consumers_of_a_fit_reject_a_fit_of_other_data(consumer, other):
+    data = ev.generate_dataset(ev.random_truth(9, 3, INTERCEPT, p=2, r=1, n=30))
+    shape = {"n": dict(r=1, n=31), "r": dict(r=2, n=30)}[other]
+    spec = ev.ModelSpec(kind=INTERCEPT)
+    result = ev.fit(ev.generate_dataset(ev.random_truth(9, 4, INTERCEPT, p=2, **shape)), spec)
+    calls = {
+        "legacy_means": lambda: ev.legacy_means(data, spec, result),
+        "perturbation_probe": lambda: ev.perturbation_probe(data, result, trials=10, seed=0),
+        "check_fit": lambda: invariants.check_fit(data, result),
+    }
+    with pytest.raises(ev.ValidationError, match=r"result is a fit of \(p, r, n\)"):
+        calls[consumer]()
 
 
 def random_spd(rng, m, lo=0.5, hi=3.0):

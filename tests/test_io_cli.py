@@ -246,8 +246,7 @@ def fit_report_for_dsb(tmp_path, **kw):
     data = io_cli.read_dataset(path, p=1, r=1)
     spec = ev.ModelSpec(kind=INTERCEPT)
     result = ev.fit(data, spec)
-    return io_cli.build_fit_report(data=data, spec=spec, result=result,
-                                   input_path=path, **kw)
+    return io_cli.build_fit_report(result=result, input_path=path, **kw)
 
 
 def test_fit_report_json_fixed_point(tmp_path):
@@ -591,7 +590,7 @@ def test_cli_simulate_negative_seed_exits_1(capsys):
     ])
     assert code == 1
     assert out == ""
-    assert err == "error: seed must be a nonnegative integer, got -1\n"
+    assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 def test_cli_verify_passes_and_is_deterministic(capsys):
@@ -606,6 +605,12 @@ def test_cli_verify_passes_and_is_deterministic(capsys):
 def test_cli_verify_zero_instances_exits_1(capsys):
     code, _, err = run_cli(capsys, ["verify", "--seed", "1", "--instances", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("instances", [True, 1.5])
+def test_verify_suite_instances_must_be_an_integer(instances):
+    with pytest.raises(ev.ValidationError, match="instances must be an integer >= 1"):
+        io_cli.run_verify_suite(1, instances)
 
 
 def test_cli_version(capsys):

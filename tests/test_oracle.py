@@ -124,13 +124,6 @@ def test_gradient_zero_at_noise_free_truth():
     assert np.max(np.abs(gradient)) <= 1e-8
 
 
-def test_gradient_step_bounds():
-    with pytest.raises(ev.ValidationError):
-        ev.glse_gradient_check(dsb(), [1.0], [[2.0]], step=1e-2)
-    with pytest.raises(ev.ValidationError):
-        ev.glse_gradient_check(dsb(), [1.0], [[2.0]], step=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # perturbation probe
 # ---------------------------------------------------------------------------
@@ -138,7 +131,7 @@ def test_gradient_step_bounds():
 def test_probe_passes_on_well_conditioned_fit():
     _, data = noisy_instance(seed=61, index=3)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=200, scale=1e-3, seed=7)
+    report = ev.perturbation_probe(data, result, trials=200, seed=7)
     assert report.perturbation_violations == 0
     assert report.passed
     assert report.legacy_objective_excess > 0.0
@@ -148,7 +141,7 @@ def test_probe_legacy_excess_positive_with_nonzero_row_means():
     truth, data = noisy_instance(seed=62, index=1)
     assert np.max(np.abs(data.x1.mean(axis=1))) > 0.1
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=50, scale=1e-3, seed=7)
+    report = ev.perturbation_probe(data, result, trials=50, seed=7)
     assert report.legacy_objective_excess > 0.0
 
 
@@ -158,14 +151,14 @@ def test_probe_excess_vanishes_after_demeaning_x1():
         x1=data.x1 - data.x1.mean(axis=1, keepdims=True), x2=data.x2
     )
     result = ev.fit(demeaned, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(demeaned, result, trials=50, scale=1e-3, seed=7)
+    report = ev.perturbation_probe(demeaned, result, trials=50, seed=7)
     assert abs(report.legacy_objective_excess) <= 1e-12
 
 
 def test_probe_no_intercept_fit_passes():
     _, data = noisy_instance(seed=64, index=4, kind=NO_INTERCEPT)
     result = ev.fit(data, ev.ModelSpec(kind=NO_INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=200, scale=1e-3, seed=11)
+    report = ev.perturbation_probe(data, result, trials=200, seed=11)
     assert report.perturbation_violations == 0
     assert abs(report.legacy_objective_excess) <= 1e-12
     assert report.passed
@@ -177,7 +170,7 @@ def test_probe_sigma0_aware():
     truth = ev.random_truth(65, 0, INTERCEPT, p=2, r=1, sigma0=sigma0)
     data = ev.generate_dataset(truth)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-    report = ev.perturbation_probe(data, result, trials=200, scale=1e-3, seed=5)
+    report = ev.perturbation_probe(data, result, trials=200, seed=5)
     assert report.perturbation_violations == 0
     assert report.passed
 
@@ -191,7 +184,7 @@ def test_probe_legacy_excess_is_the_weighted_mean_shift(shape):
         truth = ev.random_truth(5, index, INTERCEPT, p=3, r=2, n=200, sigma0=sigma0)
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        report = ev.perturbation_probe(data, result, trials=1, scale=1e-3, seed=0)
+        report = ev.perturbation_probe(data, result, trials=1, seed=0)
         x1_mean = data.x1.mean(axis=1)
         d = np.concatenate([x1_mean, result.b_hat @ x1_mean])
         weighted = d if sigma0 is None else np.linalg.solve(sigma0, d)
@@ -211,8 +204,8 @@ def test_probe_gradient_flags_a_moved_intercept(shape):
         result, alpha_hat=alpha, u2_hat=estimators.estimate_u2(result.u1_hat, alpha, result.b_hat)
     )
     glse = float(np.sum(estimators.glse_residual(data, alpha, result.b_hat, sigma0) ** 2))
-    correct = ev.perturbation_probe(data, result, trials=50, scale=1e-3, seed=0)
-    report = ev.perturbation_probe(data, moved, trials=50, scale=1e-3, seed=0)
+    correct = ev.perturbation_probe(data, result, trials=50, seed=0)
+    report = ev.perturbation_probe(data, moved, trials=50, seed=0)
     assert correct.gradient_max_abs <= oracle.stationarity_limit(result.glse_objective)
     assert report.gradient_max_abs > oracle.stationarity_limit(glse)
     assert not report.passed
@@ -221,8 +214,8 @@ def test_probe_gradient_flags_a_moved_intercept(shape):
 def test_probe_deterministic():
     _, data = noisy_instance(seed=66, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    first = ev.perturbation_probe(data, result, trials=60, scale=1e-3, seed=3)
-    second = ev.perturbation_probe(data, result, trials=60, scale=1e-3, seed=3)
+    first = ev.perturbation_probe(data, result, trials=60, seed=3)
+    second = ev.perturbation_probe(data, result, trials=60, seed=3)
     assert first == second
 
 
@@ -230,9 +223,7 @@ def test_probe_input_validation():
     _, data = noisy_instance(seed=67, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
     with pytest.raises(ev.ValidationError):
-        ev.perturbation_probe(data, result, trials=0, scale=1e-3, seed=1)
-    with pytest.raises(ev.ValidationError):
-        ev.perturbation_probe(data, result, trials=10, scale=0.0, seed=1)
+        ev.perturbation_probe(data, result, trials=0, seed=1)
 
 
 def off_optimum_fit(kind):
@@ -249,8 +240,9 @@ def off_optimum_fit(kind):
     return data, dataclasses.replace(result, u1_hat=wrong)
 
 
-def reference_violations(data, fit_result, trials, scale, seed):
+def reference_violations(data, fit_result, trials, seed):
     """The probe's trial loop written out plainly, one fresh draw per term."""
+    scale = oracle.PERTURBATION_SCALE
     alpha, b, u1 = fit_result.alpha_hat, fit_result.b_hat, fit_result.u1_hat
     base = oracle._olse_objective(data, alpha, b, u1)
     slack = oracle.PERTURBATION_SLACK * max(1.0, base)
@@ -275,12 +267,12 @@ def test_probe_counts_violations_of_its_seeded_stream(kind, monkeypatch):
     objective = oracle._olse_objective
     monkeypatch.setattr(oracle, "_olse_objective",
                         lambda *args: calls.append(None) or objective(*args))
-    report = ev.perturbation_probe(data, wrong, trials=trials, scale=1e-3, seed=9)
+    report = ev.perturbation_probe(data, wrong, trials=trials, seed=9)
     monkeypatch.undo()
     # the fitted point and the legacy means; the trials read the moments
     assert len(calls) == 2
     assert 0 < report.perturbation_violations < trials
-    assert report.perturbation_violations == reference_violations(data, wrong, trials, 1e-3, 9)
+    assert report.perturbation_violations == reference_violations(data, wrong, trials, 9)
     assert not report.passed
 
 
@@ -289,14 +281,13 @@ def test_probe_counts_violations_of_its_seeded_stream(kind, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("keyword, value", [
-    ("scale", np.inf), ("scale", np.nan), ("scale", -1e-3),
-    ("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+    ("tol", np.inf), ("tol", np.nan), ("tol", 0.0), ("tol", True),
     ("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", -1),
 ])
 def test_probe_rejects_inputs_that_make_it_vacuous(keyword, value):
-    # with scale=inf every trial objective is inf or nan and no trial counts
+    # with tol=inf every deviation passes the agreement check
     data, wrong = off_optimum_fit(INTERCEPT)
-    kwargs = {"trials": 50, "scale": 1e-3, "seed": 1, keyword: value}
+    kwargs = {"trials": 50, "seed": 1, keyword: value}
     with pytest.raises(ev.ValidationError):
         ev.perturbation_probe(data, wrong, **kwargs)
 
@@ -320,12 +311,13 @@ def probe_coordinates(data, fit_result):
     return ev.ObservedData(x1=white[:p], x2=white[p:]), alpha, b, u1
 
 
-def direct_violations(data, fit_result, trials, scale, seed, subset=True):
+def direct_violations(data, fit_result, trials, seed, subset=True):
     """The probe's trials evaluated directly: the O(n) objective at every
     perturbed point, on the full perturbed matrices. With ``subset`` the mean
     vectors move on the probe's seeded columns; without, on every column, as
     the probe's trials did before they were read off moments."""
     view, alpha, b, u1 = probe_coordinates(data, fit_result)
+    scale = oracle.PERTURBATION_SCALE
     p, n = u1.shape
     k = min(n, oracle.PROBE_COLUMNS) if subset else n
     base = oracle._olse_objective(view, alpha, b, u1)
@@ -363,9 +355,9 @@ def off_optimum_fit_of(n, kind, shape):
 def test_probe_counts_violations_of_its_column_subset_stream(kind, shape):
     data, _, wrong = off_optimum_fit_of(400, kind, shape)
     assert data.n > oracle.PROBE_COLUMNS
-    report = ev.perturbation_probe(data, wrong, trials=120, scale=1e-3, seed=9)
+    report = ev.perturbation_probe(data, wrong, trials=120, seed=9)
     assert 0 < report.perturbation_violations < 120
-    assert report.perturbation_violations == direct_violations(data, wrong, 120, 1e-3, 9)
+    assert report.perturbation_violations == direct_violations(data, wrong, 120, 9)
 
 
 LD = np.longdouble
@@ -415,7 +407,7 @@ def test_moment_route_is_no_less_accurate_than_direct_sums(noise, offset):
     wide = [v.astype(LD) for v in (data.x1, data.x2, alpha, b, u1)]
 
     # probe trials: the change of the OLSE objective
-    d_alpha, d_b, d_u1, columns = oracle._draw_trials(range(8), 3, 1e-3, alpha, b, u1, True)
+    d_alpha, d_b, d_u1, columns = oracle._draw_trials(range(8), 3, alpha, b, u1, True)
     residual = np.empty((p + r, n))
     np.subtract(data.x1, u1, out=residual[:p])
     moments = oracle._expand(data.x2, alpha, b, u1, residual[p:])
@@ -457,11 +449,11 @@ def test_probe_flags_every_instance_the_full_column_probe_flags(n, shape):
     instances = [legacy] + [dataclasses.replace(result, b_hat=result.b_hat * (1.0 + delta))
                             for delta in (1e-3, 1e-2)]
     for index, instance in enumerate(instances):
-        before = direct_violations(data, instance, 100, 1e-3, index, subset=False)
-        after = ev.perturbation_probe(data, instance, trials=100, scale=1e-3,
+        before = direct_violations(data, instance, 100, index, subset=False)
+        after = ev.perturbation_probe(data, instance, trials=100,
                                       seed=index).perturbation_violations
         assert after > 0 or before == 0
-    assert direct_violations(data, legacy, 100, 1e-3, 0, subset=False) > 0
+    assert direct_violations(data, legacy, 100, 0, subset=False) > 0
 
 
 @pytest.fixture(scope="module")
@@ -481,7 +473,7 @@ def large_fits():
 def probe_peak(data, result, trials):
     tracemalloc.start()
     try:
-        ev.perturbation_probe(data, result, trials=trials, scale=1e-3, seed=0)
+        ev.perturbation_probe(data, result, trials=trials, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,7 +511,7 @@ def test_probe_cost_does_not_grow_with_trials(large_fits, shape, monkeypatch):
     counts = []
     for trials in (1, 200):
         calls["n"] = 0
-        ev.perturbation_probe(data, fits[shape], trials=trials, scale=1e-3, seed=0)
+        ev.perturbation_probe(data, fits[shape], trials=trials, seed=0)
         counts.append(calls["n"])
     monkeypatch.undo()
     assert counts[0] == counts[1] == 3

@@ -14,7 +14,7 @@ NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
 def template(p=2, r=2, sigma=0.1, sigma0=None, error_kind=ev.ErrorKind.GAUSSIAN):
     rng = np.random.default_rng(1)
     return ev.SyntheticTruth(
-        u1=ev.default_mean_grid(p, 32, spread=1.0, offset=1.0),
+        u1=ev.default_mean_grid(p, 32, offset=1.0),
         b=rng.standard_normal((r, p)),
         alpha=rng.standard_normal(r),
         sigma2=sigma * sigma,
@@ -106,9 +106,15 @@ def test_mean_grid_is_well_conditioned():
 
 
 def test_mean_grid_spread_and_offset():
-    grid = ev.default_mean_grid(2, 50, spread=0.5, offset=3.0)
+    grid = ev.default_mean_grid(2, 50, offset=3.0)
     assert grid.shape == (2, 50)
-    assert np.all(grid >= 2.5) and np.all(grid <= 3.5)
+    assert np.all(grid >= 2.0) and np.all(grid <= 4.0)
+
+
+@pytest.mark.parametrize("p, n", [(2, True), (1.5, 3)])
+def test_mean_grid_counts_must_be_integers(p, n):
+    with pytest.raises(ev.ValidationError, match="must be an integer >= 1"):
+        ev.default_mean_grid(p, n)
 
 
 def test_random_truth_ranges_and_determinism():
@@ -152,7 +158,7 @@ def test_truth_rejects_a_shape_model_spec_rejects(shape, error):
 
 @pytest.mark.parametrize("seed", [True, False, 1.0, "1", -1])
 def test_random_truth_seed_must_be_a_nonnegative_integer(seed):
-    with pytest.raises(ev.ValidationError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ev.ValidationError, match="seed must be an integer >= 0"):
         ev.random_truth(seed, 0, INTERCEPT)
 
 
@@ -188,7 +194,7 @@ def test_consistency_noise_free_is_exact():
 def test_consistency_noise_free_all_zero_without_intercept():
     rng = np.random.default_rng(1)
     truth = ev.SyntheticTruth(
-        u1=ev.default_mean_grid(2, 32, spread=1.0, offset=1.0),
+        u1=ev.default_mean_grid(2, 32, offset=1.0),
         b=rng.standard_normal((2, 2)),
         alpha=np.zeros(2),
         sigma2=0.0,
@@ -251,7 +257,7 @@ def test_consistency_replicates_must_be_an_integer_of_at_least_10(replicates):
 
 @pytest.mark.parametrize("seed", [True, 1.0, -1])
 def test_consistency_seed_must_be_a_nonnegative_integer(seed):
-    with pytest.raises(ev.ValidationError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ev.ValidationError, match="seed must be an integer >= 0"):
         ev.consistency_experiment(template(), (20, 40), 10, seed=seed, kind=INTERCEPT)
 
 
