@@ -157,6 +157,8 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
             )
     elif p is None or r is None:
         raise ValidationError("pass both p and r, or neither")
+    elif any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (p, r)):
+        raise ValidationError(f"p and r must be integers, got p={p!r}, r={r!r}")
     elif p < 1 or r < 1:
         raise ValidationError(f"p and r must be positive, got p={p}, r={r}")
 

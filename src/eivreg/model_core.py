@@ -112,7 +112,9 @@ class ObservedData:
 
     @classmethod
     def _of(cls, x: np.ndarray, p: int) -> ObservedData:
-        """Checked observations ``x`` (a stack, a working copy) with p predictor rows, as is."""
+        """Checked observations ``x`` (a stack, a working copy) with p predictor rows, as is.
+        ``x`` must not change once wrapped: ``row_means`` and the scatter
+        matrices are memoized on the object."""
         data = object.__new__(cls)
         vars(data).update(x=x, p=p)
         return data
@@ -190,8 +192,17 @@ def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
     """Scatter matrix W of the (centered) stacked observations: the sum of the
     Gram matrices of the blocks of ``_centered_blocks``, so W is exactly
     symmetric. Observation blocks with leading axes, a stack of datasets, give
-    one W per dataset, bit for bit the W of that dataset alone."""
-    return sum(_gram(block) for _, block in _centered_blocks(data, kind))
+    one W per dataset, bit for bit the W of that dataset alone.
+
+    W is read-only and computed once per dataset and model kind: the first
+    call makes the pass over the columns and stores W on ``data``, beside
+    ``row_means``, and later calls return that same array."""
+    memo = vars(data).setdefault("_scatter", {})
+    if kind not in memo:
+        w = sum(_gram(block) for _, block in _centered_blocks(data, kind))
+        w.setflags(write=False)
+        memo.setdefault(kind, w)  # concurrent first calls all return the first W stored
+    return memo[kind]
 
 
 def _centered_blocks(data: ObservedData, kind: ModelKind):

@@ -206,8 +206,8 @@ def _working_view(data, fit_result):
     """A writable copy of the data (an ``ObservedData``), the fitted triple
     and the legacy means' shift, in the coordinates where the identity-shape
     least-squares criteria apply: the data's own, or, under a covariance
-    shape sigma0 = L L', whitened in place by L^{-1}, with L its lower
-    Cholesky factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
+    shape sigma0 = L L', whitened by L^{-1} before it is wrapped, with L its
+    lower Cholesky factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
     and graph L^{-1} [I; B]. L^{-1} is lower triangular, so the whitened mean
     vectors are L11^{-1} U1 and the shift L11^{-1} xbar1, through the top
     p-by-p block L11 alone, and U2 is not read."""
@@ -217,16 +217,15 @@ def _working_view(data, fit_result):
     u1 = np.asarray(fit_result.u1_hat, dtype=float)
     intercept = fit_result.kind is ModelKind.INTERCEPT
     x1_mean = data.x1.mean(axis=1, keepdims=True)
-    work = ObservedData._of(data.x.copy(), p)
     if fit_result.sigma0 is None:
-        return work, alpha, b, u1, x1_mean if intercept else 0.0
+        return ObservedData._of(data.x.copy(), p), alpha, b, u1, x1_mean if intercept else 0.0
     root = np.linalg.cholesky(fit_result.sigma0)
     graph = _forward(root, np.vstack([np.eye(p), b]))
     b_white = np.linalg.solve(graph[:p].T, graph[p:].T).T
     alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha]))[p:]
     top = root[:p, :p]
     legacy_shift = _forward(top, x1_mean) if intercept else 0.0
-    _forward(root, work.x)
+    work = ObservedData._of(_forward(root, data.x.copy()), p)
     return work, alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
 
 
@@ -350,16 +349,19 @@ def perturbation_probe(
     gradient_max_abs = float(np.max(np.abs(gradient)))
     glse_value = _glse_objective(view, alpha, b)
 
-    # the working copy now takes the residual at the fit; the trials are drawn
-    # and evaluated a block at a time, so their memory does not grow with trials
-    np.subtract(view.x1, u1, out=view.x1)
-    moments = _expand(view.x2, alpha, b, u1, out=view.x2)
+    # the working copy now takes the residual at the fit, once its wrapper is
+    # dropped (an ObservedData's x must not change); the trials are drawn and
+    # evaluated a block at a time, so their memory does not grow with trials
+    work, p = view.x, data.p
+    del view
+    np.subtract(work[:p], u1, out=work[:p])
+    moments = _expand(work[p:], alpha, b, u1, out=work[p:])
     slack = PERTURBATION_SLACK * max(1.0, base)
     violations = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
         draws = _draw_trials(block, seed, alpha, b, u1, perturb_alpha)
-        changes = _trial_changes(view.x, u1, b, moments, *draws)
+        changes = _trial_changes(work, u1, b, moments, *draws)
         violations += sum(change < -slack for change in changes.tolist())
 
     passed = (

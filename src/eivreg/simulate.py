@@ -62,6 +62,8 @@ class SyntheticTruth:
         object.__setattr__(self, "u1", _as_matrix(self.u1, "u1"))
         object.__setattr__(self, "b", _as_matrix(self.b, "b"))
         object.__setattr__(self, "alpha", _as_matrix(self.alpha, "alpha", ndim=1))
+        if self.alpha.size == 0:
+            raise ValidationError("alpha must have at least one entry (r >= 1)")
         if self.b.shape != (self.alpha.size, self.u1.shape[0]):
             raise ValidationError(
                 f"b shape {self.b.shape} does not match (r, p) = "
@@ -173,6 +175,9 @@ def random_truth(
     """
     _require_count("seed", seed, 0)
     _require_count("index", index, 0)
+    for name, value in (("p", p), ("r", r)):
+        if value is not None:
+            _require_count(name, value, 1)
     rng = np.random.default_rng([seed, index])
     p = int(rng.integers(1, 5)) if p is None else p
     r = int(rng.integers(1, 4)) if r is None else r

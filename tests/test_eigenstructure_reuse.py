@@ -1,8 +1,10 @@
 """One scatter matrix, one eigendecomposition and one pass of row means per
 fitted dataset: every consumer of a fit (legacy means, the consistency sweep,
-the verify suite) reuses the eigenstructure the fit computed, and every
-estimator the data's cached row means."""
+the verify suite) reuses the eigenstructure the fit computed, every estimator
+the data's cached row means, and a refit of the same data its stored scatter
+matrix."""
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -129,3 +131,53 @@ def test_fit_and_legacy_means_take_the_row_means_once(kind, passes, with_sigma0)
     spec = ev.ModelSpec(kind=kind, sigma0=dense_sigma0(5) if with_sigma0 else None)
     # one mean over data.x for the intercept model; none without one
     assert mean_calls(lambda: ev.legacy_means(data, spec, ev.fit(data, spec))) == passes
+
+
+@pytest.fixture
+def scatter_passes(monkeypatch):
+    """Count, per model kind, the passes ``scatter_matrix`` makes over the
+    columns: the calls of ``_centered_blocks`` it looks up in ``model_core``
+    (the fit's second pass and the legacy means bind the name in ``estimators``)."""
+    passes = Counter()
+    original = model_core._centered_blocks
+
+    def counted(data, kind):
+        passes[kind] += 1
+        return original(data, kind)
+
+    monkeypatch.setattr(model_core, "_centered_blocks", counted)
+    return passes
+
+
+def test_one_scatter_pass_per_dataset_and_kind(scatter_passes):
+    data = ev.generate_dataset(ev.random_truth(9, 6, INTERCEPT, p=3, r=2, n=40))
+    for kind in (INTERCEPT, NO_INTERCEPT):
+        for sigma0 in (None, dense_sigma0(5)):
+            ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
+        ev.legacy_means(data, ev.ModelSpec(kind=kind))
+    assert scatter_passes == {INTERCEPT: 1, NO_INTERCEPT: 1}
+
+
+def assert_same_bits(a, b):
+    """Every field of two fits (or eigenstructures) is bit for bit the same."""
+    for field in dataclasses.fields(a):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(left):
+            assert_same_bits(left, right)
+        elif isinstance(left, ev.ModelKind) or left is None:
+            assert left is right
+        else:
+            np.testing.assert_array_equal(left, right, strict=True)
+
+
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+@pytest.mark.parametrize("with_sigma0", [False, True])
+def test_a_refit_has_the_bits_of_a_fit_of_fresh_data(kind, with_sigma0):
+    # more than one block of columns, so W is a sum over blocks
+    data = ev.generate_dataset(ev.random_truth(9, 7, kind, p=3, r=2, n=2 * model_core._BLOCK + 3))
+    spec = ev.ModelSpec(kind=kind, sigma0=dense_sigma0(5) if with_sigma0 else None)
+    first = ev.fit(data, spec)
+    refit = ev.fit(data, spec)
+    fresh = ev.fit(ev.ObservedData(data.x1, data.x2), spec)
+    assert_same_bits(refit, fresh)
+    assert_same_bits(first, fresh)

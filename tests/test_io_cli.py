@@ -63,6 +63,18 @@ def test_read_dataset_needs_two_rows(tmp_path):
         io_cli.read_dataset(write(tmp_path, "short.csv", "x1,x2\n0,1\n"), p=1, r=1)
 
 
+@pytest.mark.parametrize("p, r", [(True, 1), (1.0, 1), (1, np.float64(1.0)), (1, False)])
+def test_read_dataset_dimensions_must_be_integers(tmp_path, p, r):
+    with pytest.raises(ev.ValidationError, match="p and r must be integers"):
+        io_cli.read_dataset(write(tmp_path, "dsb.csv", DSB_CSV), p=p, r=r)
+
+
+@pytest.mark.parametrize("p, r", [(0, 1), (np.int64(1), -2)])
+def test_read_dataset_dimensions_must_be_positive(tmp_path, p, r):
+    with pytest.raises(ev.ValidationError, match=f"p and r must be positive, got p={p}, r={r}$"):
+        io_cli.read_dataset(write(tmp_path, "dsb.csv", DSB_CSV), p=p, r=r)
+
+
 def test_dataset_roundtrip_is_lossless(dataset_csv):
     truth = ev.random_truth(3, 1, INTERCEPT, p=2, r=2, n=15)
     data = ev.generate_dataset(truth)

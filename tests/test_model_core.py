@@ -142,6 +142,20 @@ def test_scatter_single_column_intercept_is_zero():
     np.testing.assert_array_equal(ev.scatter_matrix(data, INTERCEPT), np.zeros((2, 2)))
 
 
+def test_scatter_is_stored_read_only_once_per_kind():
+    data = ev.ObservedData(x1=[[1.0, 2.0, 3.0]], x2=[[2.0, 4.0, 7.0]])
+    w = {kind: ev.scatter_matrix(data, kind) for kind in ev.ModelKind}
+    for kind in ev.ModelKind:
+        assert ev.scatter_matrix(data, kind) is w[kind]
+        with pytest.raises(ValueError):
+            w[kind][0, 0] = 0.0
+    # each kind keeps its own W
+    fresh = ev.ObservedData(x1=data.x1, x2=data.x2)
+    np.testing.assert_array_equal(w[INTERCEPT], ev.scatter_matrix(fresh, INTERCEPT))
+    np.testing.assert_array_equal(w[NO_INTERCEPT], ev.scatter_matrix(fresh, NO_INTERCEPT))
+    assert not np.array_equal(w[INTERCEPT], w[NO_INTERCEPT])
+
+
 BLOCK = model_core._BLOCK
 
 

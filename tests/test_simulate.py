@@ -134,6 +134,11 @@ def test_synthetic_truth_validation():
         ev.SyntheticTruth(u1=np.zeros((1, 5)), b=np.zeros((1, 1)), alpha=np.zeros(1), sigma2=-1.0)
 
 
+def test_synthetic_truth_needs_a_response_row():
+    with pytest.raises(ev.ValidationError, match="alpha must have at least one entry"):
+        ev.SyntheticTruth(u1=np.zeros((1, 5)), b=np.zeros((0, 1)), alpha=np.zeros(0), sigma2=1.0)
+
+
 def asymmetric_shape():
     # cholesky reads only the lower triangle, so this would draw from I silently
     s = np.eye(4)
@@ -166,6 +171,12 @@ def test_random_truth_seed_must_be_a_nonnegative_integer(seed):
 def test_random_truth_index_must_be_a_nonnegative_integer(index):
     with pytest.raises(ev.ValidationError, match="index must be an integer >= 0"):
         ev.random_truth(0, index, INTERCEPT)
+
+
+@pytest.mark.parametrize("name, value", [("p", 1.5), ("p", True), ("r", 0), ("r", 2.0)])
+def test_random_truth_dimensions_must_be_positive_integers(name, value):
+    with pytest.raises(ev.ValidationError, match=f"{name} must be an integer >= 1"):
+        ev.random_truth(0, 0, INTERCEPT, **{name: value})
 
 
 # ---------------------------------------------------------------------------
