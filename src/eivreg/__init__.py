@@ -10,7 +10,6 @@ from .estimators import (
     FitResult,
     estimate_b,
     estimate_u1_corrected,
-    estimate_u1_projection,
     fit,
     legacy_means,
     legacy_u1,
@@ -70,7 +69,6 @@ __all__ = [
     "default_mean_grid",
     "estimate_b",
     "estimate_u1_corrected",
-    "estimate_u1_projection",
     "fit",
     "generate_dataset",
     "glse_gradient_check",

@@ -1,11 +1,11 @@
 """Closed-form estimators for the errors-in-variables regression model.
 
 The slope matrix comes from the leading eigenvectors of the scatter matrix,
-the intercept from the sample means, and the mean-vector matrix from either of
-two algebraically equivalent routes: an eigenvector-basis expression carrying
-an explicit mean-shift correction term, or a direct projection of the
-offset-adjusted observations onto the fitted graph subspace. The historically
-published eigenvector-basis expression without the mean-shift term is kept as
+the intercept from the sample means, and the mean-vector matrix from an
+eigenvector-basis expression carrying an explicit mean-shift correction term,
+which makes it the least-squares projection onto the fitted graph
+(``oracle.project_columns_oracle`` computes that projection independently).
+The historically published expression without the mean-shift term is kept as
 a first-class, clearly labeled operation because demonstrating that correction
 is a primary purpose of this package.
 
@@ -114,19 +114,6 @@ def _with_mean_shift(legacy, data: ObservedData, kind: ModelKind, out=None) -> n
     the intercept model, unchanged without one."""
     shifted = kind is ModelKind.INTERCEPT
     return np.add(legacy, data.row_means[..., : data.p, None], out=out) if shifted else legacy
-
-
-def estimate_u1_projection(data: ObservedData, alpha_hat, b_hat) -> np.ndarray:
-    """Least-squares estimate of the predictor mean vectors, projection route.
-
-    Projects the offset-adjusted observations onto the graph subspace of the
-    slope: solves (I + B'B) U = X1 + B'(X2 - alpha 1'). Algebraically
-    identical to the corrected eigenvector route; kept as an independent path.
-    """
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    b_hat = np.asarray(b_hat, dtype=float)
-    rhs = data.x1 + b_hat.T @ (data.x2 - alpha_hat[:, None])
-    return np.linalg.solve(np.eye(data.p) + b_hat.T @ b_hat, rhs)
 
 
 def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.ndarray:

@@ -8,13 +8,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .estimators import FitResult, _require_fit_of, estimate_u1_projection, legacy_u1
+from .estimators import FitResult, _require_fit_of, legacy_u1
 from .exceptions import ValidationError
 from .model_core import ModelKind, ObservedData
 
 # the rows of the `eivreg verify` table, in the order it prints them
 NAMES = (
-    "mean-route-equivalence",
     "mean-shift-identity",
     "slope-gram-identity",
     "no-intercept-coincidence",
@@ -25,13 +24,6 @@ NAMES = (
 
 def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
-
-
-def mean_route_equivalence(data: ObservedData, result: FitResult) -> float:
-    """Eigenvector- against projection-route means, 1e-9 relative to max |X|."""
-    projected = estimate_u1_projection(data, result.alpha_hat, result.b_hat)
-    scale = max(1.0, _max_abs(data.x1), _max_abs(data.x2))
-    return _max_abs(projected - result.u1_hat) / (1e-9 * scale)
 
 
 def mean_shift(data: ObservedData, result: FitResult) -> float:
@@ -72,9 +64,8 @@ def check_fit(data: ObservedData, result: FitResult) -> dict:
     _require_fit_of(data, result)
     if result.sigma0 is not None:
         raise ValidationError("the invariants take a fit without sigma0")
-    shift_name = NAMES[1] if result.kind is ModelKind.INTERCEPT else NAMES[3]
+    shift_name = NAMES[0] if result.kind is ModelKind.INTERCEPT else NAMES[2]
     ratios = {
-        "mean-route-equivalence": mean_route_equivalence(data, result),
         shift_name: mean_shift(data, result),
         "slope-gram-identity": slope_gram(data, result),
         "oracle-agreement": oracle_agreement(data, result),

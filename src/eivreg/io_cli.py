@@ -128,8 +128,10 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
     """Read a CSV dataset: one observation per row, predictor columns first.
 
     The header row names the columns; when ``p`` and ``r`` are not given they
-    are inferred from the ``x1*``/``x2*`` name prefixes. Every cell must parse
-    as a finite decimal real. Blank rows are skipped; there are no comments.
+    are inferred from the ``x1*``/``x2*`` name prefixes. A cell is anything
+    Python's ``float()`` reads as finite: surrounding spaces, quotes, ``1_000``
+    and non-ASCII digits included, and ``1e-400`` reads as 0.0. Blank rows
+    are skipped; there are no comments, so a ``#`` in a cell is an error.
     A file the one-pass numpy parse does not take whole is scanned again cell
     by cell, which decides what is accepted and where an error points.
     """
@@ -157,10 +159,9 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
             )
     elif p is None or r is None:
         raise ValidationError("pass both p and r, or neither")
-    elif any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (p, r)):
-        raise ValidationError(f"p and r must be integers, got p={p!r}, r={r!r}")
-    elif p < 1 or r < 1:
-        raise ValidationError(f"p and r must be positive, got p={p}, r={r}")
+    else:
+        _require_count("p", p, 1)
+        _require_count("r", r, 1)
 
     if len(header) != p + r:
         raise DimensionMismatchError(
@@ -553,8 +554,8 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 def _cmd_simulate(args) -> int:
     kind = _kind_from_args(args)
-    if args.p < 1 or args.r < 1:
-        raise ValidationError("--p and --r must be positive")
+    _require_count("--p", args.p, 1)
+    _require_count("--r", args.r, 1)
     if not (np.isfinite(args.sigma) and args.sigma >= 0):
         raise ValidationError(f"--sigma must be finite and >= 0, got {args.sigma}")
     grid = _parse_grid(args.n_grid)

@@ -216,15 +216,16 @@ def _working_view(data, fit_result):
     b = np.asarray(fit_result.b_hat, dtype=float)
     u1 = np.asarray(fit_result.u1_hat, dtype=float)
     intercept = fit_result.kind is ModelKind.INTERCEPT
-    x1_mean = data.x1.mean(axis=1, keepdims=True)
     if fit_result.sigma0 is None:
-        return ObservedData._of(data.x.copy(), p), alpha, b, u1, x1_mean if intercept else 0.0
+        shift = data.row_means[:p, None] if intercept else 0.0
+        return ObservedData._of(data.x.copy(), p), alpha, b, u1, shift
     root = np.linalg.cholesky(fit_result.sigma0)
     graph = _forward(root, np.vstack([np.eye(p), b]))
     b_white = np.linalg.solve(graph[:p].T, graph[p:].T).T
     alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha]))[p:]
     top = root[:p, :p]
-    legacy_shift = _forward(top, x1_mean) if intercept else 0.0
+    # _forward writes in place: a copy of the read-only row means the fit shares
+    legacy_shift = _forward(top, data.row_means[:p, None].copy()) if intercept else 0.0
     work = ObservedData._of(_forward(root, data.x.copy()), p)
     return work, alpha_white, b_white, _forward(top, u1.copy()), legacy_shift
 

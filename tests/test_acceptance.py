@@ -63,15 +63,15 @@ def no_intercept_suite():
 
 def test_criterion_1_correction_identity_suite():
     start = time.perf_counter()
-    route_ok = True
+    projection_ok = True
     identity_ok = True
     for _, data in make_instances(SUITE_SEED, INSTANCES, INTERCEPT):
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-        route_ok &= invariants.mean_route_equivalence(data, result) <= 1.0
+        projection_ok &= invariants.oracle_agreement(data, result) <= 1.0
         identity_ok &= invariants.mean_shift(data, result) <= 1.0
     elapsed = time.perf_counter() - start
     report(1, "correction identity suite",
-           route_ok and identity_ok and elapsed < 5.0)
+           projection_ok and identity_ok and elapsed < 5.0)
 
 
 def test_criterion_2_oracle_equivalence(intercept_suite):

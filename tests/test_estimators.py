@@ -90,7 +90,7 @@ def test_estimate_alpha_constant_rows_zero_slope():
 
 
 # ---------------------------------------------------------------------------
-# mean vectors: corrected, projection, legacy
+# mean vectors: corrected, legacy
 # ---------------------------------------------------------------------------
 
 def test_u1_corrected_golden_intercept():
@@ -109,28 +109,6 @@ def test_u1_corrected_no_intercept_recovers_collinear():
 def test_corrected_minus_legacy_is_mean_shift():
     _, data = noisy_instance(seed=1, index=4)
     assert invariants.mean_shift(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
-
-
-def test_u1_projection_golden():
-    u1 = ev.estimate_u1_projection(dsb(), [1.0], [[2.0]])
-    np.testing.assert_allclose(u1, [[0.0, 1.0, 2.0]], atol=1e-12)
-
-
-def test_u1_projection_zero_slope_returns_x1():
-    _, data = noisy_instance(seed=9, index=2)
-    u1 = ev.estimate_u1_projection(data, np.zeros(data.r), np.zeros((data.r, data.p)))
-    np.testing.assert_allclose(u1, data.x1, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_projection_equals_corrected(kind):
-    for index in range(10):
-        _, data = noisy_instance(seed=77, index=index, kind=kind)
-        result = ev.fit(data, ev.ModelSpec(kind=kind))
-        assert invariants.mean_route_equivalence(data, result) <= 1.0
-        projected = ev.estimate_u1_projection(data, result.alpha_hat, result.b_hat)
-        scale = max(1.0, float(np.max(np.abs(result.u1_hat))))
-        np.testing.assert_allclose(projected, result.u1_hat, atol=1e-9 * scale, rtol=0)
 
 
 def test_legacy_golden_intercept_shows_defect():
@@ -667,7 +645,7 @@ def shifted_legacy(data, result):
 
 
 @pytest.mark.parametrize("kind, wrong, checks", [
-    (INTERCEPT, legacy_as_fit, ("mean_route_equivalence", "oracle_agreement", "mean_shift")),
+    (INTERCEPT, legacy_as_fit, ("oracle_agreement", "mean_shift")),
     (INTERCEPT, perturbed_slope, ("slope_gram", "glse_stationarity")),
     (NO_INTERCEPT, shifted_legacy, ("mean_shift",)),
 ], ids=["legacy-means", "perturbed-slope", "shifted-legacy-no-intercept"])

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eivreg as ev
-from eivreg import io_cli
+from eivreg import invariants, io_cli
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 
@@ -65,13 +65,14 @@ def test_read_dataset_needs_two_rows(tmp_path):
 
 @pytest.mark.parametrize("p, r", [(True, 1), (1.0, 1), (1, np.float64(1.0)), (1, False)])
 def test_read_dataset_dimensions_must_be_integers(tmp_path, p, r):
-    with pytest.raises(ev.ValidationError, match="p and r must be integers"):
+    with pytest.raises(ev.ValidationError, match="^[pr] must be an integer >= 1, got "):
         io_cli.read_dataset(write(tmp_path, "dsb.csv", DSB_CSV), p=p, r=r)
 
 
 @pytest.mark.parametrize("p, r", [(0, 1), (np.int64(1), -2)])
 def test_read_dataset_dimensions_must_be_positive(tmp_path, p, r):
-    with pytest.raises(ev.ValidationError, match=f"p and r must be positive, got p={p}, r={r}$"):
+    name, value = ("p", p) if p < 1 else ("r", r)
+    with pytest.raises(ev.ValidationError, match=f"^{name} must be an integer >= 1, got {value}$"):
         io_cli.read_dataset(write(tmp_path, "dsb.csv", DSB_CSV), p=p, r=r)
 
 
@@ -595,6 +596,18 @@ def test_cli_simulate_bad_grid_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("p, r, message", [("-1", "1", "--p must be an integer >= 1, got -1"),
+                                            ("1", "0", "--r must be an integer >= 1, got 0")])
+def test_cli_simulate_nonpositive_dimension_exits_1(capsys, p, r, message):
+    """Rejected before the slope is drawn: numpy's error for a negative
+    shape would escape ``main``."""
+    code, out, err = run_cli(capsys, [
+        "simulate", "--p", p, "--r", r, "--sigma", "0.1",
+        "--n-grid", "20,40", "--reps", "10", "--seed", "3", "--intercept",
+    ])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cli_simulate_negative_seed_exits_1(capsys):
     code, out, err = run_cli(capsys, [
         "simulate", "--p", "1", "--r", "1", "--sigma", "0.1",
@@ -612,6 +625,27 @@ def test_cli_verify_passes_and_is_deterministic(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     assert "all invariants passed" in out1
+
+
+VERIFY_ROWS = (
+    "mean-shift-identity",
+    "slope-gram-identity",
+    "no-intercept-coincidence",
+    "oracle-agreement",
+    "glse-stationarity",
+)
+
+
+def test_cli_verify_table_header_and_rows(capsys):
+    """The header and one row per invariant in ``invariants.NAMES`` order,
+    pinned so that adding or dropping a row is a deliberate change."""
+    assert invariants.NAMES == VERIFY_ROWS
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "1", "--instances", "2"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "invariant                    instances     max_ratio  result"
+    assert [line.split()[0] for line in lines[1:6]] == list(VERIFY_ROWS)
+    assert lines[6] == ""
 
 
 def test_cli_verify_zero_instances_exits_1(capsys):

@@ -40,10 +40,11 @@ def test_oracle_zero_slope_returns_x1():
     np.testing.assert_allclose(u1, data.x1, atol=1e-12)
 
 
-def test_oracle_matches_projection_route():
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_oracle_matches_projection_route(kind):
     for index in range(8):
-        _, data = noisy_instance(seed=19, index=index)
-        result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
+        _, data = noisy_instance(seed=19, index=index, kind=kind)
+        result = ev.fit(data, ev.ModelSpec(kind=kind))
         assert invariants.oracle_agreement(data, result) <= 1.0
 
 
