@@ -1,7 +1,9 @@
-"""The exact identities of a fit made without a covariance shape, each as a
-ratio of deviation to limit; at most 1 passes. ``eivreg verify`` and the tests
-share these functions, so each limit is written once: here, or in ``oracle``
-for the two its verdict also applies."""
+"""The certification checks of a fit, each as a ratio of deviation to limit;
+at most 1 passes. ``eivreg verify`` and the tests share these functions, so
+each limit is written once: here, or in ``oracle`` for the agreement and
+stationarity checks, whose (deviation, limit) pairs the probe's verdict reads
+too. Those two hold under a covariance shape as well; ``check_fit`` takes
+fits without one."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ def mean_shift(data: ObservedData, result: FitResult) -> float:
     """Corrected minus legacy means against the mean shift, to 1e-12: the
     per-row predictor means with an intercept, zero without one."""
     legacy = legacy_u1(data, result.eigenstructure, result.kind)
-    shift = data.x1.mean(axis=1, keepdims=True) if result.kind is ModelKind.INTERCEPT else 0.0
+    shift = data.row_means[: data.p, None] if result.kind is ModelKind.INTERCEPT else 0.0
     return _max_abs(result.u1_hat - legacy - shift) / 1e-12
 
 
@@ -44,17 +46,16 @@ def slope_gram(data: ObservedData, result: FitResult) -> float:
 
 def oracle_agreement(data: ObservedData, result: FitResult) -> float:
     """Fitted means against the per-column oracle's, weighted by ``result.sigma0``."""
-    oracle_u1 = oracle.project_columns_oracle(data, result.alpha_hat, result.b_hat, result.sigma0)
-    return _max_abs(oracle_u1 - result.u1_hat) / oracle.agreement_limit(result.u1_hat)
+    deviation, limit = oracle.agreement_check(data, result)
+    return deviation / limit
 
 
 def glse_stationarity(data: ObservedData, result: FitResult) -> float:
     """Finite-difference gradient of the normalized-residual objective over
-    the free parameters (the intercept is not one without an intercept)."""
-    gradient = oracle.glse_gradient_check(data, result.alpha_hat, result.b_hat)
-    if result.kind is ModelKind.NO_INTERCEPT:
-        gradient = gradient[data.r :]
-    return _max_abs(gradient) / oracle.stationarity_limit(result.glse_objective)
+    the free parameters, whitened by ``result.sigma0`` when the fit has one."""
+    view, alpha, b, _, _ = oracle._working_view(data, result)
+    deviation, limit = oracle.stationarity_check(view, alpha, b, result.kind)
+    return deviation / limit
 
 
 def check_fit(data: ObservedData, result: FitResult) -> dict:

@@ -31,8 +31,8 @@ from .exceptions import (
     UnidentifiableError,
     ValidationError,
 )
-from .model_core import ModelKind, ModelSpec, ObservedData, _require_count, _require_positive
-from .oracle import AGREEMENT_TOL, perturbation_probe
+from .model_core import ModelKind, ModelSpec, ObservedData, _require_count
+from .oracle import perturbation_probe
 from .simulate import (
     ConsistencyReport,
     ErrorKind,
@@ -483,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(incorrect for the intercept model)")
     fit_parser.add_argument("--verify", action="store_true",
                             help="run the oracle suite and embed its report")
-    fit_parser.add_argument("--tol", type=float, default=AGREEMENT_TOL,
-                            help="verification tolerance (default 1e-9)")
     fit_parser.add_argument("--output", default=None, help="write the report here")
     fit_parser.add_argument("--format", choices=("json", "csv"), default="json")
     fit_parser.set_defaults(handler=_cmd_fit)
@@ -521,7 +519,6 @@ def _write_output(text: str, output) -> None:
 
 
 def _cmd_fit(args) -> int:
-    _require_positive("--tol", args.tol)
     data = read_dataset(args.input, args.p, args.r)
     kind = _kind_from_args(args)
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
@@ -529,7 +526,7 @@ def _cmd_fit(args) -> int:
     result = fit(data, spec)
     oracle_report = None
     if args.verify:
-        oracle_report = perturbation_probe(data, result, 200, FIT_VERIFY_SEED, tol=args.tol)
+        oracle_report = perturbation_probe(data, result, 200, FIT_VERIFY_SEED)
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(
         result=result,

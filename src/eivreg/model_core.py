@@ -75,13 +75,6 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _require_positive(name: str, value) -> None:
-    """Reject anything but a finite real > 0, bools too."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and np.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True, init=False)
 class ObservedData:
     """The observations, stored once: ``x`` is the read-only, C-contiguous

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, _require_fit_of
-from .model_core import ModelKind, ObservedData, _require_count, _require_positive
+from .model_core import ModelKind, ObservedData, _require_count
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
@@ -79,16 +79,6 @@ def project_columns_oracle(data: ObservedData, alpha, b, sigma0=None) -> np.ndar
     normal = graph_map.T @ weighted
     # column i of the right-hand side holds column i's own normal equations
     return np.linalg.solve(normal, weighted.T @ shifted)
-
-
-def agreement_limit(u1_hat, tol: float = AGREEMENT_TOL) -> float:
-    """Largest passing oracle/estimator mean deviation: ``tol`` relative to the means."""
-    return tol * max(1.0, float(np.max(np.abs(u1_hat))))
-
-
-def stationarity_limit(glse_objective: float) -> float:
-    """Largest passing gradient entry: 1e-5 relative to the GLSE objective."""
-    return 1e-5 * max(1.0, glse_objective)
 
 
 def _olse_objective(data, alpha, b, u1) -> float:
@@ -191,6 +181,30 @@ def glse_gradient_check(data: ObservedData, alpha, b) -> np.ndarray:
     values = _glse_values(data, alpha, b, offsets[:, : alpha.size],
                           offsets[:, alpha.size :].reshape(2 * m, *b.shape))
     return (values[:m] - values[m:]) / (2.0 * GRADIENT_STEP)
+
+
+def agreement_check(data: ObservedData, fit_result: FitResult) -> tuple[float, float]:
+    """The oracle agreement check as (deviation, limit), passing when
+    deviation <= limit: the largest entry of |oracle means - fitted means|,
+    the oracle's projection weighted by ``fit_result.sigma0``, against
+    ``AGREEMENT_TOL`` relative to the fitted means."""
+    u1 = fit_result.u1_hat
+    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
+                                       fit_result.sigma0)
+    deviation = float(np.max(np.abs(oracle_u1 - u1)))
+    return deviation, AGREEMENT_TOL * max(1.0, float(np.max(np.abs(u1))))
+
+
+def stationarity_check(view: ObservedData, alpha, b, kind: ModelKind) -> tuple[float, float]:
+    """The GLSE stationarity check as (deviation, limit), passing when
+    deviation <= limit, in the coordinates of ``_working_view``: the largest
+    entry of the finite-difference gradient over the free parameters (the
+    intercept is a known constant without one, so its coordinates are left
+    out), against 1e-5 relative to the GLSE objective summed there."""
+    gradient = glse_gradient_check(view, alpha, b)
+    if kind is ModelKind.NO_INTERCEPT:
+        gradient = gradient[view.r :]
+    return float(np.max(np.abs(gradient))), 1e-5 * max(1.0, _glse_objective(view, alpha, b))
 
 
 def _forward(lower, rows):
@@ -296,8 +310,6 @@ def perturbation_probe(
     fit_result: FitResult,
     trials: int,
     seed: int,
-    *,
-    tol: float = AGREEMENT_TOL,
 ) -> OracleReport:
     """Run the full certification suite against a fit.
 
@@ -316,11 +328,11 @@ def perturbation_probe(
     The data is read once into the moments of the residual at the fit, which
     give each trial's change in the (alpha, B) directions exactly; the change
     in the mean vectors is evaluated on the trial's columns alone, so the
-    trials cost O(trials * k) on top of one O(n) pass. Also re-derives the
-    mean vectors with the per-column oracle, measures the finite-difference
-    gradient at the fitted parameters, and evaluates how much worse the
-    legacy mean estimate scores; the objective at the fit, at the legacy means
-    and the GLSE objective at the fit are direct O(n) sums.
+    trials cost O(trials * k) on top of one O(n) pass. Also runs
+    ``agreement_check`` and ``stationarity_check``, the definitions that
+    ``invariants`` shares, and evaluates how much worse the legacy mean
+    estimate scores; the objective at the fit, at the legacy means and the
+    GLSE objective at the fit are direct O(n) sums.
 
     For a fit under a known covariance shape (``fit_result.sigma0``), the
     deviation check weighs distances by it and the objective-based checks
@@ -329,26 +341,14 @@ def perturbation_probe(
     """
     _require_count("trials", trials, 1)
     _require_count("seed", seed, 0)
-    _require_positive("tol", tol)
     _require_fit_of(data, fit_result)
 
     perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
-    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
-                                       fit_result.sigma0)
-    max_abs_deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
-    del oracle_u1  # n-sized: keep it out of the later peaks
-
+    max_abs_deviation, agreement_limit = agreement_check(data, fit_result)
     view, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
     base = _olse_objective(view, alpha, b, u1)
     legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
-
-    # only free parameters must be stationary: the intercept is a known
-    # constant in the no-intercept model, so its coordinates are excluded
-    gradient = glse_gradient_check(view, alpha, b)
-    if not perturb_alpha:
-        gradient = gradient[alpha.size :]
-    gradient_max_abs = float(np.max(np.abs(gradient)))
-    glse_value = _glse_objective(view, alpha, b)
+    gradient_max_abs, stationarity_limit = stationarity_check(view, alpha, b, fit_result.kind)
 
     # the working copy now takes the residual at the fit, once its wrapper is
     # dropped (an ObservedData's x must not change); the trials are drawn and
@@ -366,8 +366,8 @@ def perturbation_probe(
         violations += sum(change < -slack for change in changes.tolist())
 
     passed = (
-        max_abs_deviation <= agreement_limit(fit_result.u1_hat, tol)
-        and gradient_max_abs <= stationarity_limit(glse_value)
+        max_abs_deviation <= agreement_limit
+        and gradient_max_abs <= stationarity_limit
         and violations == 0
         and legacy_objective_excess >= -PERTURBATION_SLACK
     )

@@ -644,11 +644,23 @@ def shifted_legacy(data, result):
     return legacy_as_fit(data, result, data.x1.mean(axis=1, keepdims=True))
 
 
+def moved_slope_claiming_a_large_objective(data, result):
+    # a slope 1% off, with the intercept and means that match it, claiming a
+    # GLSE objective so large that a limit taken from the claim would pass it
+    b = 1.01 * result.b_hat
+    alpha = estimators.estimate_alpha(b, data, result.kind)
+    u1 = ev.project_columns_oracle(data, alpha, b)
+    return dataclasses.replace(result, b_hat=b, alpha_hat=alpha, u1_hat=u1,
+                               u2_hat=estimators.estimate_u2(u1, alpha, b), glse_objective=1e12)
+
+
 @pytest.mark.parametrize("kind, wrong, checks", [
     (INTERCEPT, legacy_as_fit, ("oracle_agreement", "mean_shift")),
     (INTERCEPT, perturbed_slope, ("slope_gram", "glse_stationarity")),
     (NO_INTERCEPT, shifted_legacy, ("mean_shift",)),
-], ids=["legacy-means", "perturbed-slope", "shifted-legacy-no-intercept"])
+    (INTERCEPT, moved_slope_claiming_a_large_objective, ("glse_stationarity",)),
+], ids=["legacy-means", "perturbed-slope", "shifted-legacy-no-intercept",
+        "moved-slope-claiming-a-large-objective"])
 def test_invariant_rejects_a_known_wrong_fit(kind, wrong, checks):
     """Each invariant passes the fit and fails a wrong one, so a check the
     code and the tests share cannot go vacuous unnoticed."""
