@@ -436,6 +436,18 @@ def test_cli_fit_verify_failure_exits_3(dataset_csv, capsys, monkeypatch):
     assert report["oracle"]["max_abs_deviation"] > 0.0
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1.5"])
+def test_cli_fit_rejects_non_finite_or_non_positive_tol(tmp_path, capsys, tol):
+    # fit has no --tol: every value, these included, is a usage error
+    path = write(tmp_path, "dsb.csv", DSB_CSV)
+    code, out, err = run_cli(capsys, [
+        "fit", "--input", path, "--intercept", "--verify", "--tol", tol,
+    ])
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: --tol {tol}" in err
+
+
 def test_cli_non_utf8_input_exits_1(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"x1,x2\n0,1\xff\n1,3\n2,5\n")

@@ -214,6 +214,28 @@ def test_probe_gradient_flags_a_moved_intercept(shape):
         assert report.passed is not flagged
 
 
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_invariants_divide_the_probes_pairs(kind, shape):
+    # oracle_agreement and glse_stationarity are the probe's (deviation,
+    # limit) pairs divided, with or without a covariance shape
+    sigma0 = None if shape is None else random_spd(np.random.default_rng(6), 5)
+    truth = ev.random_truth(7, 1, kind, p=3, r=2, n=300, sigma0=sigma0)
+    data = ev.generate_dataset(truth)
+    result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
+    moved = dataclasses.replace(result, u1_hat=result.u1_hat + 1e-3)
+    for fit_result, flagged in ((result, False), (moved, True)):
+        deviation, limit = oracle.agreement_check(data, fit_result)
+        assert invariants.oracle_agreement(data, fit_result) == deviation / limit
+        assert (deviation > limit) is flagged
+        report = ev.perturbation_probe(data, fit_result, trials=20, seed=0)
+        assert report.max_abs_deviation == deviation
+        assert report.passed is not flagged
+    view, alpha, b, _, _ = oracle._working_view(data, result)
+    deviation, limit = oracle.stationarity_check(view, alpha, b, kind)
+    assert invariants.glse_stationarity(data, result) == deviation / limit <= 1.0
+
+
 def test_probe_deterministic():
     _, data = noisy_instance(seed=66, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
