@@ -15,7 +15,7 @@ explicitly (inverse-like expressions go through linear solves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class FitResult:
     ``eigenstructure`` is the decomposition of the scatter matrix the fit
     was computed from (whitened as L^{-1} W L^{-T} under a known shape
     sigma0 = L L', L lower triangular); reports read its ``eigengap``,
-    ``g11_condition`` and ``degenerate`` fields.
+    ``g11_condition`` and ``degenerate`` fields. ``data`` is the very
+    ``ObservedData`` the fit was given, not a copy: the probe, the invariants
+    and ``legacy_means`` take the fit alone and read its data from here.
     """
 
     kind: ModelKind
@@ -62,6 +64,7 @@ class FitResult:
     residual_scale: float
     eigenstructure: EigenStructure
     sigma0: np.ndarray | None
+    data: ObservedData = field(repr=False)
 
 
 def estimate_b(es: EigenStructure) -> np.ndarray:
@@ -285,6 +288,7 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
         residual_scale=objective / (data.n * (data.p + data.r)),
         eigenstructure=es,
         sigma0=sigma0,
+        data=data,
     )
 
 
@@ -296,20 +300,13 @@ def legacy_means(
     refitting or whitening (without ``result`` the data is fitted first).
     Corrected minus legacy means is thus exactly the per-row predictor means
     (intercept model) or zero (no-intercept model) under every covariance
-    shape. Raises ``ValidationError`` if ``result`` is a fit under another
-    model kind or covariance shape, or of another p, r or n."""
+    shape. Raises ``ValidationError`` unless ``result`` is a fit of this very
+    ``data`` object (``result.data is data``; other data of the same shape
+    does not do) under ``spec``'s model kind and covariance shape."""
     if result is None:
         result = fit(data, spec)
-    _require_fit_of(data, result)
     # array_equal is also True for None against None, False for None against a matrix
-    if result.kind is not spec.kind or not np.array_equal(result.sigma0, spec.sigma0):
+    if (result.data is not data or result.kind is not spec.kind
+            or not np.array_equal(result.sigma0, spec.sigma0)):
         raise ValidationError("result is not a fit of this data under this model")
     return legacy_u1(data, result.eigenstructure, spec.kind)
-
-
-def _require_fit_of(data: ObservedData, result: FitResult) -> None:
-    """Raise ``ValidationError`` unless ``result`` fits data of ``data``'s p, r and n."""
-    if result.b_hat.shape != (data.r, data.p) or result.u1_hat.shape != data.x1.shape:
-        fitted = (result.b_hat.shape[1], result.b_hat.shape[0], result.u1_hat.shape[-1])
-        raise ValidationError(f"result is a fit of (p, r, n) = {fitted}, "
-                              f"not of this data's {(data.p, data.r, data.n)}")

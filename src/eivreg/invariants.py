@@ -3,16 +3,17 @@ at most 1 passes. ``eivreg verify`` and the tests share these functions, so
 each limit is written once: here, or in ``oracle`` for the agreement and
 stationarity checks, whose (deviation, limit) pairs the probe's verdict reads
 too. Those two hold under a covariance shape as well; ``check_fit`` takes
-fits without one."""
+fits without one. Each takes the fit alone and reads the data it fitted from
+``result.data``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import oracle
-from .estimators import FitResult, _require_fit_of, legacy_u1
+from .estimators import FitResult, legacy_u1
 from .exceptions import ValidationError
-from .model_core import ModelKind, ObservedData
+from .model_core import ModelKind
 
 # the rows of the `eivreg verify` table, in the order it prints them
 NAMES = (
@@ -28,49 +29,49 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def mean_shift(data: ObservedData, result: FitResult) -> float:
+def mean_shift(result: FitResult) -> float:
     """Corrected minus legacy means against the mean shift, to 1e-12: the
     per-row predictor means with an intercept, zero without one."""
+    data = result.data
     legacy = legacy_u1(data, result.eigenstructure, result.kind)
     shift = data.row_means[: data.p, None] if result.kind is ModelKind.INTERCEPT else 0.0
     return _max_abs(result.u1_hat - legacy - shift) / 1e-12
 
 
-def slope_gram(data: ObservedData, result: FitResult) -> float:
+def slope_gram(result: FitResult) -> float:
     """B'B against g11^{-T} g11^{-1} - I, 1e-9 relative to B'B."""
     gram = result.b_hat.T @ result.b_hat
-    inverse_g11 = np.linalg.solve(result.eigenstructure.g11, np.eye(data.p))
-    identity_form = inverse_g11.T @ inverse_g11 - np.eye(data.p)
+    inverse_g11 = np.linalg.solve(result.eigenstructure.g11, np.eye(result.data.p))
+    identity_form = inverse_g11.T @ inverse_g11 - np.eye(result.data.p)
     return _max_abs(gram - identity_form) / (1e-9 * max(1.0, _max_abs(gram)))
 
 
-def oracle_agreement(data: ObservedData, result: FitResult) -> float:
+def oracle_agreement(result: FitResult) -> float:
     """Fitted means against the per-column oracle's, weighted by ``result.sigma0``."""
-    deviation, limit = oracle.agreement_check(data, result)
+    deviation, limit = oracle.agreement_check(result)
     return deviation / limit
 
 
-def glse_stationarity(data: ObservedData, result: FitResult) -> float:
+def glse_stationarity(result: FitResult) -> float:
     """Finite-difference gradient of the normalized-residual objective over
     the free parameters, whitened by ``result.sigma0`` when the fit has one."""
-    view, alpha, b, _, _ = oracle._working_view(data, result)
+    view, alpha, b, _, _ = oracle._working_view(result)
     deviation, limit = oracle.stationarity_check(view, alpha, b, result.kind)
     return deviation / limit
 
 
-def check_fit(data: ObservedData, result: FitResult) -> dict:
-    """Every invariant's ratio by row name, in evaluation order, for a fit of
-    ``data`` without sigma0 (else ``ValidationError``); stationarity is left
-    out when the signal subspace is degenerate."""
-    _require_fit_of(data, result)
+def check_fit(result: FitResult) -> dict:
+    """Every invariant's ratio by row name, in evaluation order, for a fit
+    without sigma0 (else ``ValidationError``), on the data it fitted;
+    stationarity is left out when the signal subspace is degenerate."""
     if result.sigma0 is not None:
         raise ValidationError("the invariants take a fit without sigma0")
     shift_name = NAMES[0] if result.kind is ModelKind.INTERCEPT else NAMES[2]
     ratios = {
-        shift_name: mean_shift(data, result),
-        "slope-gram-identity": slope_gram(data, result),
-        "oracle-agreement": oracle_agreement(data, result),
+        shift_name: mean_shift(result),
+        "slope-gram-identity": slope_gram(result),
+        "oracle-agreement": oracle_agreement(result),
     }
     if not result.eigenstructure.degenerate:
-        ratios["glse-stationarity"] = glse_stationarity(data, result)
+        ratios["glse-stationarity"] = glse_stationarity(result)
     return ratios

@@ -390,7 +390,7 @@ def run_verify_suite(seed: int, instances: int) -> dict:
         kind = ModelKind.INTERCEPT if index % 2 == 0 else ModelKind.NO_INTERCEPT
         data = generate_dataset(random_truth(seed, index, kind))
         spec = ModelSpec(kind=kind)
-        for name, ratio in invariants.check_fit(data, fit(data, spec)).items():
+        for name, ratio in invariants.check_fit(fit(data, spec)).items():
             entry = checks[name]
             entry["checked"] += 1
             entry["max_ratio"] = max(entry["max_ratio"], ratio)
@@ -526,7 +526,7 @@ def _cmd_fit(args) -> int:
     result = fit(data, spec)
     oracle_report = None
     if args.verify:
-        oracle_report = perturbation_probe(data, result, 200, FIT_VERIFY_SEED)
+        oracle_report = perturbation_probe(result, 200, FIT_VERIFY_SEED)
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(
         result=result,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult, _require_fit_of
+from .estimators import FitResult
 from .model_core import ModelKind, ObservedData, _require_count
 
 PERTURBATION_SLACK = 1e-12
@@ -163,33 +163,39 @@ def _glse_values(data, alpha, b, d_alpha, d_b) -> np.ndarray:
     return np.trace(np.linalg.solve(normal, grams), axis1=-2, axis2=-1)
 
 
-def glse_gradient_check(data: ObservedData, alpha, b) -> np.ndarray:
-    """Central finite differences, step ``GRADIENT_STEP``, of the GLSE objective.
+def glse_gradient_check(data: ObservedData, alpha, b, kind: ModelKind) -> np.ndarray:
+    """Central finite differences, step ``GRADIENT_STEP``, of the GLSE objective
+    over the free parameters of a model of kind ``kind``: the intercept, then
+    the slope in row-major order (length r + r*p), or the slope alone without
+    an intercept (length r*p).
 
-    Returns the gradient estimate over the intercept coordinates followed by
-    the slope coordinates in row-major order (length r + r*p). At the fitted
-    parameters of a well-conditioned instance every component should vanish
-    to within finite-difference accuracy. The data is read once, into the
-    moments of the residual at (alpha, B); each of the 2(r + rp) objective
-    values then costs O((p + r)^3), whatever n.
+    With an intercept each slope step also moves alpha by -step * xbar1, the
+    predictor row means of ``data``, keeping alpha + B xbar1 fixed: the slope
+    turns about the centre of the data, so the gradient at a fit does not grow
+    with the data's distance from the origin. The data is read once, into the
+    moments of the residual at (alpha, B); each objective value then costs
+    O((p + r)^3), whatever n.
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = alpha.size + b.size
-    # row k moves coordinate k of (alpha, vec B) by +step, row m + k by -step
-    offsets = np.vstack([np.eye(m), -np.eye(m)]) * GRADIENT_STEP
-    values = _glse_values(data, alpha, b, offsets[:, : alpha.size],
-                          offsets[:, alpha.size :].reshape(2 * m, *b.shape))
+    free = alpha.size if kind is ModelKind.INTERCEPT else 0  # alpha is known without one
+    m = free + b.size
+    # row k moves free coordinate k of (alpha, vec B) by +step, row m + k by -step
+    steps = np.vstack([np.eye(m), -np.eye(m)]) * GRADIENT_STEP
+    d_b = steps[:, free:].reshape(2 * m, *b.shape)
+    d_alpha = steps[:, :free] - d_b @ data.row_means[: data.p] if free else 0.0
+    values = _glse_values(data, alpha, b, d_alpha, d_b)
     return (values[:m] - values[m:]) / (2.0 * GRADIENT_STEP)
 
 
-def agreement_check(data: ObservedData, fit_result: FitResult) -> tuple[float, float]:
+def agreement_check(fit_result: FitResult) -> tuple[float, float]:
     """The oracle agreement check as (deviation, limit), passing when
     deviation <= limit: the largest entry of |oracle means - fitted means|,
-    the oracle's projection weighted by ``fit_result.sigma0``, against
-    ``AGREEMENT_TOL`` relative to the fitted means."""
+    the oracle's projection of the fit's data weighted by
+    ``fit_result.sigma0``, against ``AGREEMENT_TOL`` relative to the fitted
+    means."""
     u1 = fit_result.u1_hat
-    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
+    oracle_u1 = project_columns_oracle(fit_result.data, fit_result.alpha_hat, fit_result.b_hat,
                                        fit_result.sigma0)
     deviation = float(np.max(np.abs(oracle_u1 - u1)))
     return deviation, AGREEMENT_TOL * max(1.0, float(np.max(np.abs(u1))))
@@ -198,12 +204,9 @@ def agreement_check(data: ObservedData, fit_result: FitResult) -> tuple[float, f
 def stationarity_check(view: ObservedData, alpha, b, kind: ModelKind) -> tuple[float, float]:
     """The GLSE stationarity check as (deviation, limit), passing when
     deviation <= limit, in the coordinates of ``_working_view``: the largest
-    entry of the finite-difference gradient over the free parameters (the
-    intercept is a known constant without one, so its coordinates are left
-    out), against 1e-5 relative to the GLSE objective summed there."""
-    gradient = glse_gradient_check(view, alpha, b)
-    if kind is ModelKind.NO_INTERCEPT:
-        gradient = gradient[view.r :]
+    entry of ``glse_gradient_check`` over the free parameters of ``kind``,
+    against 1e-5 relative to the GLSE objective summed there."""
+    gradient = glse_gradient_check(view, alpha, b, kind)
     return float(np.max(np.abs(gradient))), 1e-5 * max(1.0, _glse_objective(view, alpha, b))
 
 
@@ -216,8 +219,8 @@ def _forward(lower, rows):
     return rows
 
 
-def _working_view(data, fit_result):
-    """A writable copy of the data (an ``ObservedData``), the fitted triple
+def _working_view(fit_result):
+    """A writable copy of the fit's data (an ``ObservedData``), the fitted triple
     and the legacy means' shift, in the coordinates where the identity-shape
     least-squares criteria apply: the data's own, or, under a covariance
     shape sigma0 = L L', whitened by L^{-1} before it is wrapped, with L its
@@ -225,6 +228,7 @@ def _working_view(data, fit_result):
     and graph L^{-1} [I; B]. L^{-1} is lower triangular, so the whitened mean
     vectors are L11^{-1} U1 and the shift L11^{-1} xbar1, through the top
     p-by-p block L11 alone, and U2 is not read."""
+    data = fit_result.data
     p = data.p
     alpha = np.asarray(fit_result.alpha_hat, dtype=float)
     b = np.asarray(fit_result.b_hat, dtype=float)
@@ -305,13 +309,9 @@ def _trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns) -> np.
     return changes
 
 
-def perturbation_probe(
-    data: ObservedData,
-    fit_result: FitResult,
-    trials: int,
-    seed: int,
-) -> OracleReport:
-    """Run the full certification suite against a fit.
+def perturbation_probe(fit_result: FitResult, trials: int, seed: int) -> OracleReport:
+    """Run the full certification suite against a fit, on the data it fitted
+    (``fit_result.data``).
 
     Draws ``trials`` random perturbations of the fitted parameters and mean
     vectors and counts those that lower the least-squares objective beyond
@@ -337,15 +337,13 @@ def perturbation_probe(
     For a fit under a known covariance shape (``fit_result.sigma0``), the
     deviation check weighs distances by it and the objective-based checks
     run in whitened coordinates, where the fit's least-squares criteria live.
-    Raises ``ValidationError`` if ``fit_result`` fits another p, r or n.
     """
     _require_count("trials", trials, 1)
     _require_count("seed", seed, 0)
-    _require_fit_of(data, fit_result)
 
     perturb_alpha = fit_result.kind is ModelKind.INTERCEPT
-    max_abs_deviation, agreement_limit = agreement_check(data, fit_result)
-    view, alpha, b, u1, legacy_shift = _working_view(data, fit_result)
+    max_abs_deviation, agreement_limit = agreement_check(fit_result)
+    view, alpha, b, u1, legacy_shift = _working_view(fit_result)
     base = _olse_objective(view, alpha, b, u1)
     legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
     gradient_max_abs, stationarity_limit = stationarity_check(view, alpha, b, fit_result.kind)
@@ -353,7 +351,7 @@ def perturbation_probe(
     # the working copy now takes the residual at the fit, once its wrapper is
     # dropped (an ObservedData's x must not change); the trials are drawn and
     # evaluated a block at a time, so their memory does not grow with trials
-    work, p = view.x, data.p
+    work, p = view.x, view.p
     del view
     np.subtract(work[:p], u1, out=work[:p])
     moments = _expand(work[p:], alpha, b, u1, out=work[p:])

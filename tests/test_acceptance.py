@@ -67,8 +67,8 @@ def test_criterion_1_correction_identity_suite():
     identity_ok = True
     for _, data in make_instances(SUITE_SEED, INSTANCES, INTERCEPT):
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-        projection_ok &= invariants.oracle_agreement(data, result) <= 1.0
-        identity_ok &= invariants.mean_shift(data, result) <= 1.0
+        projection_ok &= invariants.oracle_agreement(result) <= 1.0
+        identity_ok &= invariants.mean_shift(result) <= 1.0
     elapsed = time.perf_counter() - start
     report(1, "correction identity suite",
            projection_ok and identity_ok and elapsed < 5.0)
@@ -77,7 +77,7 @@ def test_criterion_1_correction_identity_suite():
 def test_criterion_2_oracle_equivalence(intercept_suite):
     identity_ok = True
     for _, data, result in intercept_suite:
-        identity_ok &= invariants.oracle_agreement(data, result) <= 1.0
+        identity_ok &= invariants.oracle_agreement(result) <= 1.0
 
     weighted_ok = True
     rng = np.random.default_rng(SIGMA0_SEED)
@@ -90,7 +90,7 @@ def test_criterion_2_oracle_equivalence(intercept_suite):
         )
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        weighted_ok &= invariants.oracle_agreement(data, result) <= 1.0
+        weighted_ok &= invariants.oracle_agreement(result) <= 1.0
 
     report(2, "oracle equivalence", identity_ok and weighted_ok)
 
@@ -101,7 +101,7 @@ def test_criterion_3_optimality(intercept_suite):
     demeaned_ok = True
     qualifying = 0
     for index, (_, data, result) in enumerate(intercept_suite):
-        probe = ev.perturbation_probe(data, result, trials=200, seed=SUITE_SEED + index)
+        probe = ev.perturbation_probe(result, trials=200, seed=SUITE_SEED + index)
         violations_ok &= probe.perturbation_violations == 0
         if float(np.max(np.abs(data.x1.mean(axis=1)))) > 0.1:
             qualifying += 1
@@ -110,8 +110,7 @@ def test_criterion_3_optimality(intercept_suite):
             x1=data.x1 - data.x1.mean(axis=1, keepdims=True), x2=data.x2
         )
         demeaned_result = ev.fit(demeaned, ev.ModelSpec(kind=INTERCEPT))
-        demeaned_probe = ev.perturbation_probe(demeaned, demeaned_result, trials=1,
-                                               seed=SUITE_SEED + index)
+        demeaned_probe = ev.perturbation_probe(demeaned_result, trials=1, seed=SUITE_SEED + index)
         demeaned_ok &= demeaned_probe.legacy_objective_excess <= 1e-12
     report(3, "perturbation optimality",
            violations_ok and excess_ok and demeaned_ok and qualifying >= 50)
@@ -121,7 +120,7 @@ def test_criterion_4_glse_stationarity(intercept_suite):
     ok = True
     for _, data, result in intercept_suite:
         if not result.eigenstructure.degenerate:
-            ok &= invariants.glse_stationarity(data, result) <= 1.0
+            ok &= invariants.glse_stationarity(result) <= 1.0
     report(4, "glse stationarity", ok)
 
 
@@ -143,7 +142,7 @@ def test_criterion_5_golden_instance():
 def test_criterion_6_no_intercept_coincidence(no_intercept_suite):
     ok = True
     for _, data, result in no_intercept_suite:
-        ok &= invariants.mean_shift(data, result) <= 1.0
+        ok &= invariants.mean_shift(result) <= 1.0
     report(6, "no-intercept coincidence", ok)
 
 
@@ -187,7 +186,7 @@ def test_criterion_9_structural_identities(intercept_suite, no_intercept_suite):
             es = result.eigenstructure
             block = es.g11.T @ es.g11 + es.g21.T @ es.g21 - np.eye(data.p)
             ok &= float(np.max(np.abs(block))) <= 1e-10
-            ok &= invariants.slope_gram(data, result) <= 1.0
+            ok &= invariants.slope_gram(result) <= 1.0
 
             o, _ = np.linalg.qr(rotation_rng.normal(size=(data.p, data.p)))
             es_rot = dataclasses.replace(es, g11=es.g11 @ o, g21=es.g21 @ o, left=o.T @ es.left)

@@ -94,15 +94,16 @@ def test_legacy_means_rejects_a_fit_of_other_data():
     data = ev.generate_dataset(ev.random_truth(9, 3, INTERCEPT, p=2, r=1, n=30))
     other = ev.generate_dataset(ev.random_truth(9, 4, INTERCEPT, p=2, r=1, n=31))
     spec = ev.ModelSpec(kind=INTERCEPT)
-    with pytest.raises(ev.ValidationError):
+    mismatch = "result is not a fit of this data under this model"
+    with pytest.raises(ev.ValidationError, match=mismatch):
         ev.legacy_means(data, spec, ev.fit(other, spec))
-    with pytest.raises(ev.ValidationError):
+    with pytest.raises(ev.ValidationError, match=mismatch):
         ev.legacy_means(data, ev.ModelSpec(kind=NO_INTERCEPT), ev.fit(data, spec))
     # a fit under another covariance shape, in either direction
     dense = ev.ModelSpec(kind=INTERCEPT, sigma0=dense_sigma0(3))
-    with pytest.raises(ev.ValidationError):
+    with pytest.raises(ev.ValidationError, match=mismatch):
         ev.legacy_means(data, dense, ev.fit(data, spec))
-    with pytest.raises(ev.ValidationError):
+    with pytest.raises(ev.ValidationError, match=mismatch):
         ev.legacy_means(data, spec, ev.fit(data, dense))
 
 

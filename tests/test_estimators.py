@@ -108,7 +108,7 @@ def test_u1_corrected_no_intercept_recovers_collinear():
 
 def test_corrected_minus_legacy_is_mean_shift():
     _, data = noisy_instance(seed=1, index=4)
-    assert invariants.mean_shift(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
+    assert invariants.mean_shift(ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
 
 
 def test_legacy_golden_intercept_shows_defect():
@@ -128,7 +128,7 @@ def test_no_intercept_corrected_and_legacy_coincide():
     for index in range(10):
         _, data = noisy_instance(seed=13, index=index, kind=NO_INTERCEPT)
         result = ev.fit(data, ev.ModelSpec(kind=NO_INTERCEPT))
-        assert invariants.mean_shift(data, result) <= 1.0
+        assert invariants.mean_shift(result) <= 1.0
 
 
 def test_legacy_means_routes_like_fit():
@@ -250,25 +250,26 @@ def test_fit_identity_sigma0_matches_plain_path():
     assert white.olse_objective == pytest.approx(plain.olse_objective, abs=1e-10)
     assert white.glse_objective == pytest.approx(plain.glse_objective, abs=1e-10)
     with pytest.raises(ev.ValidationError):  # the invariants hold without a shape only
-        invariants.check_fit(data, white)
+        invariants.check_fit(white)
 
 
-@pytest.mark.parametrize("consumer, other", [
-    ("legacy_means", "r"), ("perturbation_probe", "n"), ("perturbation_probe", "r"),
-    ("check_fit", "n"), ("check_fit", "r"),
-])
-def test_consumers_of_a_fit_reject_a_fit_of_other_data(consumer, other):
+def test_a_fit_carries_the_data_it_was_given():
     data = ev.generate_dataset(ev.random_truth(9, 3, INTERCEPT, p=2, r=1, n=30))
-    shape = {"n": dict(r=1, n=31), "r": dict(r=2, n=30)}[other]
+    for sigma0 in (None, random_spd(np.random.default_rng(9), 3)):
+        result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
+        assert result.data is data
+        assert "data=" not in repr(result)
+
+
+@pytest.mark.parametrize("other", ["same-shape", "r"])
+def test_legacy_means_rejects_a_fit_of_other_data(other):
+    # a fit of other data with this data's (p, r, n) is rejected too
+    data = ev.generate_dataset(ev.random_truth(9, 3, INTERCEPT, p=2, r=1, n=30))
+    shape = {"same-shape": dict(r=1, n=30), "r": dict(r=2, n=30)}[other]
     spec = ev.ModelSpec(kind=INTERCEPT)
     result = ev.fit(ev.generate_dataset(ev.random_truth(9, 4, INTERCEPT, p=2, **shape)), spec)
-    calls = {
-        "legacy_means": lambda: ev.legacy_means(data, spec, result),
-        "perturbation_probe": lambda: ev.perturbation_probe(data, result, trials=10, seed=0),
-        "check_fit": lambda: invariants.check_fit(data, result),
-    }
-    with pytest.raises(ev.ValidationError, match=r"result is a fit of \(p, r, n\)"):
-        calls[consumer]()
+    with pytest.raises(ev.ValidationError, match="result is not a fit of this data"):
+        ev.legacy_means(data, spec, result)
 
 
 def random_spd(rng, m, lo=0.5, hi=3.0):
@@ -556,7 +557,7 @@ def test_olse_minimality_under_mean_perturbations():
 def test_glse_stationarity_at_fit():
     _, data = noisy_instance(seed=23, index=7)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    assert invariants.glse_stationarity(data, result) <= 1.0
+    assert invariants.glse_stationarity(result) <= 1.0
 
 
 def test_u1_corrected_invariant_to_basis_rotation():
@@ -628,7 +629,7 @@ def test_fit_is_exactly_equivariant_under_powers_of_two(k, kind, shape):
 def test_slope_gram_identity():
     for index in range(10):
         _, data = noisy_instance(seed=67, index=index)
-        assert invariants.slope_gram(data, ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
+        assert invariants.slope_gram(ev.fit(data, ev.ModelSpec(kind=INTERCEPT))) <= 1.0
 
 
 def legacy_as_fit(data, result, shift=0.0):
@@ -668,4 +669,4 @@ def test_invariant_rejects_a_known_wrong_fit(kind, wrong, checks):
     result = ev.fit(data, ev.ModelSpec(kind=kind))
     for name in checks:
         check = getattr(invariants, name)
-        assert check(data, result) <= 1.0 < check(data, wrong(data, result)), name
+        assert check(result) <= 1.0 < check(wrong(data, result)), name

@@ -417,6 +417,16 @@ def test_cli_fit_verify_passes(dataset_csv, capsys):
     assert report["oracle"]["perturbation_violations"] == 0
 
 
+def test_cli_fit_verify_passes_far_from_the_origin(dataset_csv, capsys):
+    data = ev.generate_dataset(ev.random_truth(11, 0, INTERCEPT, n=2000, sigma=0.1))
+    shifted = ev.ObservedData(x1=data.x1 + 1e4, x2=data.x2 + 1e4)
+    code, out, _ = run_cli(capsys, [
+        "fit", "--input", dataset_csv(shifted), "--intercept", "--verify",
+    ])
+    assert code == 0
+    assert json.loads(out)["oracle"]["passed"] is True
+
+
 def test_cli_fit_verify_failure_exits_3(dataset_csv, capsys, monkeypatch):
     data = ev.generate_dataset(ev.random_truth(11, 1, INTERCEPT))
     fit = io_cli.fit

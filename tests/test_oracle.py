@@ -45,7 +45,7 @@ def test_oracle_matches_projection_route(kind):
     for index in range(8):
         _, data = noisy_instance(seed=19, index=index, kind=kind)
         result = ev.fit(data, ev.ModelSpec(kind=kind))
-        assert invariants.oracle_agreement(data, result) <= 1.0
+        assert invariants.oracle_agreement(result) <= 1.0
 
 
 def test_oracle_sigma0_matches_generalized_fit():
@@ -55,7 +55,7 @@ def test_oracle_sigma0_matches_generalized_fit():
         truth = ev.random_truth(88, index, INTERCEPT, p=2, r=2, sigma0=sigma0)
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        assert invariants.oracle_agreement(data, result) <= 1.0
+        assert invariants.oracle_agreement(result) <= 1.0
 
 
 def per_column_oracle(data, alpha, b, sigma0=None):
@@ -105,23 +105,46 @@ def test_batched_oracle_matches_per_column_loop(kind, shape, p, r, smallest_n):
 # finite-difference stationarity
 # ---------------------------------------------------------------------------
 
-def test_gradient_small_at_fit():
-    _, data = noisy_instance(seed=33, index=2)
-    result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    gradient = ev.glse_gradient_check(data, result.alpha_hat, result.b_hat)
-    assert gradient.shape == (data.r + data.r * data.p,)
-    assert invariants.glse_stationarity(data, result) <= 1.0
+def offset_data(data, offset):
+    """``data`` with ``offset`` added to every entry of both blocks."""
+    return ev.ObservedData(x1=data.x1 + offset, x2=data.x2 + offset)
+
+
+OFFSETS = [0.0, 1e3, 1e4, 1e6]
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("shape", [None, "dense"])
+def test_gradient_small_at_fit(offset, shape):
+    # the slope steps turn about the data's centre, so neither the fit's
+    # ratio nor that of a slightly wrong slope depends on the offset
+    sigma0 = None if shape is None else random_spd(np.random.default_rng(6), 5)
+    truth = ev.random_truth(1, 0, INTERCEPT, p=3, r=2, n=200, sigma=0.1, sigma0=sigma0)
+    data = offset_data(ev.generate_dataset(truth), offset)
+    result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
+    p, r = data.p, data.r
+    assert ev.glse_gradient_check(data, result.alpha_hat, result.b_hat, INTERCEPT).shape == (r + r * p,)
+    assert ev.glse_gradient_check(data, result.alpha_hat, result.b_hat, NO_INTERCEPT).shape == (r * p,)
+    assert invariants.glse_stationarity(result) <= 1.0
+    assert ev.perturbation_probe(result, trials=50, seed=0).passed
+    # a slope 2e-6 off, relative, with the intercept and means that match it
+    b = result.b_hat * (1.0 + 2e-6)
+    alpha = estimators.estimate_alpha(b, data, INTERCEPT)
+    u1 = ev.project_columns_oracle(data, alpha, b, sigma0)
+    moved = dataclasses.replace(result, b_hat=b, alpha_hat=alpha, u1_hat=u1,
+                                u2_hat=estimators.estimate_u2(u1, alpha, b))
+    assert invariants.glse_stationarity(moved) > 1.0
 
 
 def test_gradient_positive_off_optimum():
-    gradient = ev.glse_gradient_check(dsb(), [1.0], [[2.1]])
+    gradient = ev.glse_gradient_check(dsb(), [1.0], [[2.1]], INTERCEPT)
     # moving the slope further from the exact fit increases the objective
     assert gradient[-1] > 0.0
 
 
 def test_gradient_zero_at_noise_free_truth():
     truth, data = noisy_instance(seed=50, index=0, sigma=0.0)
-    gradient = ev.glse_gradient_check(data, truth.alpha, truth.b)
+    gradient = ev.glse_gradient_check(data, truth.alpha, truth.b, INTERCEPT)
     assert np.max(np.abs(gradient)) <= 1e-8
 
 
@@ -132,7 +155,7 @@ def test_gradient_zero_at_noise_free_truth():
 def test_probe_passes_on_well_conditioned_fit():
     _, data = noisy_instance(seed=61, index=3)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=200, seed=7)
+    report = ev.perturbation_probe(result, trials=200, seed=7)
     assert report.perturbation_violations == 0
     assert report.passed
     assert report.legacy_objective_excess > 0.0
@@ -142,7 +165,7 @@ def test_probe_legacy_excess_positive_with_nonzero_row_means():
     truth, data = noisy_instance(seed=62, index=1)
     assert np.max(np.abs(data.x1.mean(axis=1))) > 0.1
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=50, seed=7)
+    report = ev.perturbation_probe(result, trials=50, seed=7)
     assert report.legacy_objective_excess > 0.0
 
 
@@ -152,14 +175,14 @@ def test_probe_excess_vanishes_after_demeaning_x1():
         x1=data.x1 - data.x1.mean(axis=1, keepdims=True), x2=data.x2
     )
     result = ev.fit(demeaned, ev.ModelSpec(kind=INTERCEPT))
-    report = ev.perturbation_probe(demeaned, result, trials=50, seed=7)
+    report = ev.perturbation_probe(result, trials=50, seed=7)
     assert abs(report.legacy_objective_excess) <= 1e-12
 
 
 def test_probe_no_intercept_fit_passes():
     _, data = noisy_instance(seed=64, index=4, kind=NO_INTERCEPT)
     result = ev.fit(data, ev.ModelSpec(kind=NO_INTERCEPT))
-    report = ev.perturbation_probe(data, result, trials=200, seed=11)
+    report = ev.perturbation_probe(result, trials=200, seed=11)
     assert report.perturbation_violations == 0
     assert abs(report.legacy_objective_excess) <= 1e-12
     assert report.passed
@@ -171,7 +194,7 @@ def test_probe_sigma0_aware():
     truth = ev.random_truth(65, 0, INTERCEPT, p=2, r=1, sigma0=sigma0)
     data = ev.generate_dataset(truth)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-    report = ev.perturbation_probe(data, result, trials=200, seed=5)
+    report = ev.perturbation_probe(result, trials=200, seed=5)
     assert report.perturbation_violations == 0
     assert report.passed
 
@@ -185,30 +208,32 @@ def test_probe_legacy_excess_is_the_weighted_mean_shift(shape):
         truth = ev.random_truth(5, index, INTERCEPT, p=3, r=2, n=200, sigma0=sigma0)
         data = ev.generate_dataset(truth)
         result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
-        report = ev.perturbation_probe(data, result, trials=1, seed=0)
+        report = ev.perturbation_probe(result, trials=1, seed=0)
         x1_mean = data.x1.mean(axis=1)
         d = np.concatenate([x1_mean, result.b_hat @ x1_mean])
         weighted = d if sigma0 is None else np.linalg.solve(sigma0, d)
         assert report.legacy_objective_excess == pytest.approx(data.n * d @ weighted, rel=1e-9)
 
 
+@pytest.mark.parametrize("offset", OFFSETS)
 @pytest.mark.parametrize("shape", [None, "dense"])
-def test_probe_gradient_flags_a_moved_intercept(shape):
+def test_probe_gradient_flags_a_moved_intercept(offset, shape):
     # the probe maps the fit's own alpha into its coordinates, so under a
-    # covariance shape too a wrong alpha leaves the GLSE objective unstationary
+    # covariance shape too a wrong alpha leaves the GLSE objective
+    # unstationary, and far from the origin the right one still passes
     sigma0 = None if shape is None else random_spd(np.random.default_rng(6), 5)
     truth = ev.random_truth(5, 0, INTERCEPT, p=3, r=2, n=500, sigma0=sigma0)
-    data = ev.generate_dataset(truth)
+    data = offset_data(ev.generate_dataset(truth), offset)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=sigma0))
     alpha = result.alpha_hat + 0.1
     moved = dataclasses.replace(
         result, alpha_hat=alpha, u2_hat=estimators.estimate_u2(result.u1_hat, alpha, result.b_hat)
     )
     for fit_result, flagged in ((result, False), (moved, True)):
-        assert (invariants.glse_stationarity(data, fit_result) > 1.0) is flagged
-        report = ev.perturbation_probe(data, fit_result, trials=50, seed=0)
+        assert (invariants.glse_stationarity(fit_result) > 1.0) is flagged
+        report = ev.perturbation_probe(fit_result, trials=50, seed=0)
         # the probe reads the same definition of the check, in the same coordinates
-        view, alpha_w, b_w, _, _ = oracle._working_view(data, fit_result)
+        view, alpha_w, b_w, _, _ = oracle._working_view(fit_result)
         deviation, _ = oracle.stationarity_check(view, alpha_w, b_w, INTERCEPT)
         assert report.gradient_max_abs == deviation
         assert report.passed is not flagged
@@ -225,22 +250,22 @@ def test_invariants_divide_the_probes_pairs(kind, shape):
     result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=sigma0))
     moved = dataclasses.replace(result, u1_hat=result.u1_hat + 1e-3)
     for fit_result, flagged in ((result, False), (moved, True)):
-        deviation, limit = oracle.agreement_check(data, fit_result)
-        assert invariants.oracle_agreement(data, fit_result) == deviation / limit
+        deviation, limit = oracle.agreement_check(fit_result)
+        assert invariants.oracle_agreement(fit_result) == deviation / limit
         assert (deviation > limit) is flagged
-        report = ev.perturbation_probe(data, fit_result, trials=20, seed=0)
+        report = ev.perturbation_probe(fit_result, trials=20, seed=0)
         assert report.max_abs_deviation == deviation
         assert report.passed is not flagged
-    view, alpha, b, _, _ = oracle._working_view(data, result)
+    view, alpha, b, _, _ = oracle._working_view(result)
     deviation, limit = oracle.stationarity_check(view, alpha, b, kind)
-    assert invariants.glse_stationarity(data, result) == deviation / limit <= 1.0
+    assert invariants.glse_stationarity(result) == deviation / limit <= 1.0
 
 
 def test_probe_deterministic():
     _, data = noisy_instance(seed=66, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
-    first = ev.perturbation_probe(data, result, trials=60, seed=3)
-    second = ev.perturbation_probe(data, result, trials=60, seed=3)
+    first = ev.perturbation_probe(result, trials=60, seed=3)
+    second = ev.perturbation_probe(result, trials=60, seed=3)
     assert first == second
 
 
@@ -248,7 +273,7 @@ def test_probe_input_validation():
     _, data = noisy_instance(seed=67, index=0)
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
     with pytest.raises(ev.ValidationError):
-        ev.perturbation_probe(data, result, trials=0, seed=1)
+        ev.perturbation_probe(result, trials=0, seed=1)
 
 
 def off_optimum_fit(kind):
@@ -292,7 +317,7 @@ def test_probe_counts_violations_of_its_seeded_stream(kind, monkeypatch):
     objective = oracle._olse_objective
     monkeypatch.setattr(oracle, "_olse_objective",
                         lambda *args: calls.append(None) or objective(*args))
-    report = ev.perturbation_probe(data, wrong, trials=trials, seed=9)
+    report = ev.perturbation_probe(wrong, trials=trials, seed=9)
     monkeypatch.undo()
     # the fitted point and the legacy means; the trials read the moments
     assert len(calls) == 2
@@ -312,7 +337,7 @@ def test_probe_rejects_inputs_that_make_it_vacuous(keyword, value):
     data, wrong = off_optimum_fit(INTERCEPT)
     kwargs = {"trials": 50, "seed": 1, keyword: value}
     with pytest.raises(ev.ValidationError):
-        ev.perturbation_probe(data, wrong, **kwargs)
+        ev.perturbation_probe(wrong, **kwargs)
 
 
 def probe_coordinates(data, fit_result):
@@ -378,7 +403,7 @@ def off_optimum_fit_of(n, kind, shape):
 def test_probe_counts_violations_of_its_column_subset_stream(kind, shape):
     data, _, wrong = off_optimum_fit_of(400, kind, shape)
     assert data.n > oracle.PROBE_COLUMNS
-    report = ev.perturbation_probe(data, wrong, trials=120, seed=9)
+    report = ev.perturbation_probe(wrong, trials=120, seed=9)
     assert 0 < report.perturbation_violations < 120
     assert report.perturbation_violations == direct_violations(data, wrong, 120, 9)
 
@@ -473,7 +498,7 @@ def test_probe_flags_every_instance_the_full_column_probe_flags(n, shape):
                             for delta in (1e-3, 1e-2)]
     for index, instance in enumerate(instances):
         before = direct_violations(data, instance, 100, index, subset=False)
-        after = ev.perturbation_probe(data, instance, trials=100,
+        after = ev.perturbation_probe(instance, trials=100,
                                       seed=index).perturbation_violations
         assert after > 0 or before == 0
     assert direct_violations(data, legacy, 100, 0, subset=False) > 0
@@ -496,7 +521,7 @@ def large_fits():
 def probe_peak(data, result, trials):
     tracemalloc.start()
     try:
-        ev.perturbation_probe(data, result, trials=trials, seed=0)
+        ev.perturbation_probe(result, trials=trials, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,7 +559,7 @@ def test_probe_cost_does_not_grow_with_trials(large_fits, shape, monkeypatch):
     counts = []
     for trials in (1, 200):
         calls["n"] = 0
-        ev.perturbation_probe(data, fits[shape], trials=trials, seed=0)
+        ev.perturbation_probe(fits[shape], trials=trials, seed=0)
         counts.append(calls["n"])
     monkeypatch.undo()
     assert counts[0] == counts[1] == 3
