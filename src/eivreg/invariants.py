@@ -30,12 +30,15 @@ def _max_abs(x) -> float:
 
 
 def mean_shift(result: FitResult) -> float:
-    """Corrected minus legacy means against the mean shift, to 1e-12: the
-    per-row predictor means with an intercept, zero without one."""
+    """Corrected minus legacy means against the mean shift, to 1e-12 of the
+    predictors' scale, max|X1 - xbar1 1'| + max|xbar1|: the per-row
+    predictor means with an intercept, zero without one."""
     data = result.data
     legacy = legacy_u1(data, result.eigenstructure, result.kind)
-    shift = data.row_means[: data.p, None] if result.kind is ModelKind.INTERCEPT else 0.0
-    return _max_abs(result.u1_hat - legacy - shift) / 1e-12
+    x1_mean = data.row_means[: data.p, None]
+    scale = _max_abs(data.x1 - x1_mean) + _max_abs(x1_mean)
+    shift = x1_mean if result.kind is ModelKind.INTERCEPT else 0.0
+    return _max_abs(result.u1_hat - legacy - shift) / (1e-12 * scale)
 
 
 def slope_gram(result: FitResult) -> float:
@@ -53,8 +56,9 @@ def oracle_agreement(result: FitResult) -> float:
 
 
 def glse_stationarity(result: FitResult) -> float:
-    """Finite-difference gradient of the normalized-residual objective over
-    the free parameters, whitened by ``result.sigma0`` when the fit has one."""
+    """Exact gradient of the normalized-residual objective over the free
+    parameters, each entry over the size of its terms, whitened by
+    ``result.sigma0`` when the fit has one."""
     view, alpha, b, _, _ = oracle._working_view(result)
     deviation, limit = oracle.stationarity_check(view, alpha, b, result.kind)
     return deviation / limit

@@ -2,21 +2,21 @@
 
 Re-derives the mean-vector estimate by brute-force per-column constrained
 least squares, checks stationarity of the normalized-residual objective by
-central finite differences, and probes optimality of the full least-squares
+its exact gradient, taken from the objective's definition and read against
+the size of its terms, and probes optimality of the full least-squares
 objective with random perturbations. Everything here assembles its own
 objectives and normal equations from the model definition; none of the
 estimator module's closed-form identities are reused, which is what makes the
 agreement checks meaningful.
 
-The probe and the gradient check read the data once. With the mean vectors
-held fixed, both objectives are quadratic in (alpha, B), the expansion behind
-Gleser (1981, Ann. Statist.): a residual E = X2 - alpha 1' - B Z becomes
-E - dTheta M at (alpha + da, B + dB), where M = [1; Z - zbar 1'] and
-dTheta = [da + dB zbar, dB]. Its Gram matrix there follows from E E' and the
-small moments M E' and M M', so each objective value costs O((p + r)^3).
-Expanding around the residual, with Z centred, keeps cancellation relative to
-the objective, not to the magnitude of the data. A probe trial also moves the
-mean vectors, on at most ``PROBE_COLUMNS`` columns of its own choosing, and
+The probe and the gradient check each read the data once, into a residual
+E = X2 - alpha 1' - B Z and its moments E E', M E' and M M', where
+M = [1; Z - zbar 1']: the gradient of Gleser's (1981, Ann. Statist.)
+objective is read off them, and so is the probe's, with the mean vectors
+held fixed, at any (alpha + da, B + dB): the residual there is E - dTheta M,
+dTheta = [da + dB zbar, dB]. Centring Z keeps cancellation relative to the
+objective, not to the magnitude of the data. A probe trial also moves the
+mean vectors on at most ``PROBE_COLUMNS`` columns of its own choosing, and
 that part of its change is evaluated on those columns alone; the OLSE
 objective is a sum over columns.
 """
@@ -34,8 +34,8 @@ PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
 # Standard deviation of a probe perturbation, relative to one plus the entry it moves.
 PERTURBATION_SCALE = 1e-3
-# Step of the gradient check's central differences.
-GRADIENT_STEP = 1e-6
+# Largest entry of the GLSE gradient over the size of its terms that a stationary fit may show.
+STATIONARITY_TOL = 1e-9
 # Columns of the mean vectors one probe trial moves; all of them when n is at most this.
 PROBE_COLUMNS = 256
 # Trials the probe draws and evaluates together; bounds its memory whatever the trial count.
@@ -139,53 +139,39 @@ def _expand(x2, alpha, b, z, out):
     return z_mean, cross, gram
 
 
-def _shift(z_mean, d_alpha, d_b):
-    """dTheta = [da + dB zbar, dB], so that the residual at (alpha + da, B + dB)
-    is E - dTheta M; stacked over the leading axes of the shifts."""
-    return np.concatenate([(d_alpha + d_b @ z_mean)[..., None], d_b], axis=-1)
+def glse_gradient_check(data: ObservedData, alpha, b,
+                        kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, scale): the exact gradient of the GLSE objective
+    tr(S^{-1} E E'), S = I + BB' and E = X2 - alpha 1' - B X1, over the free
+    parameters of ``kind`` (the intercept, then the slope in row-major order;
+    the slope alone without an intercept), and the size of each entry's terms.
 
-
-def _gram_change(cross, gram, d_theta):
-    """(E - dTheta M)(E - dTheta M)' - E E', from the moments alone."""
-    moved = d_theta @ cross
-    return d_theta @ gram @ np.swapaxes(d_theta, -1, -2) - moved - np.swapaxes(moved, -1, -2)
-
-
-def _glse_values(data, alpha, b, d_alpha, d_b) -> np.ndarray:
-    """The normalized-residual objective at (alpha + da_t, B + dB_t) for each
-    row t of the shifts, from one pass over the data: the residual at
-    (alpha, B), its Gram matrix and its moments with [1; X1 - xbar1 1']."""
+    g_alpha = -2 S^{-1} E 1 and g_B = -2 S^{-1} E Z' - 2 S^{-1} E E' S^{-1} B,
+    where Z is X1, centred with an intercept: a slope step there also moves
+    alpha by -step * xbar1, so the slope turns about the centre of the data.
+    Every term is a moment of ``_expand``'s one pass. With
+    c = 2 (|E|_F + |B|_2 |Z|_F) / lambda_min(S), the scale is
+    c |Z|_F + max|2 S^{-1} E E' S^{-1} B| for the slope and c sqrt(n) for the
+    intercept, so gradient / scale does not depend on the data's units.
+    """
+    alpha, b = np.asarray(alpha, dtype=float), np.asarray(b, dtype=float)
+    (r, p), n = b.shape, data.n
     residual = np.empty(data.x2.shape)
     x1_mean, cross, gram = _expand(data.x2, alpha, b, data.x1, residual)
-    grams = residual @ residual.T + _gram_change(cross, gram, _shift(x1_mean, d_alpha, d_b))
-    b_t = b + d_b
-    normal = np.eye(b.shape[0]) + b_t @ np.swapaxes(b_t, -1, -2)
-    return np.trace(np.linalg.solve(normal, grams), axis1=-2, axis2=-1)
-
-
-def glse_gradient_check(data: ObservedData, alpha, b, kind: ModelKind) -> np.ndarray:
-    """Central finite differences, step ``GRADIENT_STEP``, of the GLSE objective
-    over the free parameters of a model of kind ``kind``: the intercept, then
-    the slope in row-major order (length r + r*p), or the slope alone without
-    an intercept (length r*p).
-
-    With an intercept each slope step also moves alpha by -step * xbar1, the
-    predictor row means of ``data``, keeping alpha + B xbar1 fixed: the slope
-    turns about the centre of the data, so the gradient at a fit does not grow
-    with the data's distance from the origin. The data is read once, into the
-    moments of the residual at (alpha, B); each objective value then costs
-    O((p + r)^3), whatever n.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    b = np.asarray(b, dtype=float)
-    free = alpha.size if kind is ModelKind.INTERCEPT else 0  # alpha is known without one
-    m = free + b.size
-    # row k moves free coordinate k of (alpha, vec B) by +step, row m + k by -step
-    steps = np.vstack([np.eye(m), -np.eye(m)]) * GRADIENT_STEP
-    d_b = steps[:, free:].reshape(2 * m, *b.shape)
-    d_alpha = steps[:, :free] - d_b @ data.row_means[: data.p] if free else 0.0
-    values = _glse_values(data, alpha, b, d_alpha, d_b)
-    return (values[:m] - values[m:]) / (2.0 * GRADIENT_STEP)
+    intercept = kind is ModelKind.INTERCEPT
+    # E Z' and |Z|_F from the centred moments, plus the means' part without an intercept
+    e_z = cross[1:].T if intercept else cross[1:].T + np.outer(cross[0], x1_mean)
+    z_norm = np.sqrt(np.trace(gram[1:, 1:]) + (0.0 if intercept else n * x1_mean @ x1_mean))
+    e_gram = residual @ residual.T
+    normal = np.eye(r) + b @ b.T
+    solved = np.linalg.solve(normal, np.hstack([cross[:1].T, e_z, e_gram]))
+    curvature = 2.0 * np.linalg.solve(normal, solved[:, 1 + p:].T @ b)
+    low, high = np.linalg.eigvalsh(normal)[[0, -1]]
+    c = 2.0 * (np.sqrt(np.trace(e_gram)) + np.sqrt(max(high - 1.0, 0.0)) * z_norm) / low
+    g_b = -2.0 * solved[:, 1:1 + p] - curvature
+    gradient = np.concatenate([-2.0 * solved[:, 0], g_b.ravel()])
+    scale = np.repeat([c * np.sqrt(n), c * z_norm + np.max(np.abs(curvature))], [r, b.size])
+    return (gradient, scale) if intercept else (gradient[r:], scale[r:])
 
 
 def agreement_check(fit_result: FitResult) -> tuple[float, float]:
@@ -205,9 +191,11 @@ def stationarity_check(view: ObservedData, alpha, b, kind: ModelKind) -> tuple[f
     """The GLSE stationarity check as (deviation, limit), passing when
     deviation <= limit, in the coordinates of ``_working_view``: the largest
     entry of ``glse_gradient_check`` over the free parameters of ``kind``,
-    against 1e-5 relative to the GLSE objective summed there."""
-    gradient = glse_gradient_check(view, alpha, b, kind)
-    return float(np.max(np.abs(gradient))), 1e-5 * max(1.0, _glse_objective(view, alpha, b))
+    each over the size of its terms, against ``STATIONARITY_TOL``. A zero
+    entry reads 0, whatever its scale."""
+    gradient, scale = glse_gradient_check(view, alpha, b, kind)
+    ratio = np.divide(np.abs(gradient), scale, out=np.zeros(scale.shape), where=gradient != 0.0)
+    return float(np.max(ratio)), STATIONARITY_TOL
 
 
 def _forward(lower, rows):
@@ -296,8 +284,12 @@ def _trial_changes(residual, u1, b, moments, d_alpha, d_b, d_u1, columns) -> np.
     """
     p = u1.shape[0]
     u1_mean, cross, gram = moments
-    d_theta = _shift(u1_mean, d_alpha, d_b)
-    changes = np.trace(_gram_change(cross, gram, d_theta), axis1=-2, axis2=-1)
+    # the residual at (alpha + da, B + dB) is E - dTheta M, dTheta = [da + dB u1bar, dB],
+    # and the trace of (E - dTheta M)(E - dTheta M)' - E E' follows from the moments
+    d_theta = np.concatenate([(d_alpha + d_b @ u1_mean)[..., None], d_b], axis=-1)
+    moved = d_theta @ cross
+    changes = np.trace(d_theta @ gram @ np.swapaxes(d_theta, -1, -2) - moved
+                       - np.swapaxes(moved, -1, -2), axis1=-2, axis2=-1)
     # the residual at (alpha + da_t, B + dB_t) on trial t's columns, then the
     # change of its squared norm as U1 moves by D_t there
     picked = np.moveaxis(residual[:, columns], 1, 0)
@@ -331,8 +323,8 @@ def perturbation_probe(fit_result: FitResult, trials: int, seed: int) -> OracleR
     trials cost O(trials * k) on top of one O(n) pass. Also runs
     ``agreement_check`` and ``stationarity_check``, the definitions that
     ``invariants`` shares, and evaluates how much worse the legacy mean
-    estimate scores; the objective at the fit, at the legacy means and the
-    GLSE objective at the fit are direct O(n) sums.
+    estimate scores, within the trials' slack; the objective at the fit and
+    at the legacy means are direct O(n) sums.
 
     For a fit under a known covariance shape (``fit_result.sigma0``), the
     deviation check weighs distances by it and the objective-based checks
@@ -345,6 +337,7 @@ def perturbation_probe(fit_result: FitResult, trials: int, seed: int) -> OracleR
     max_abs_deviation, agreement_limit = agreement_check(fit_result)
     view, alpha, b, u1, legacy_shift = _working_view(fit_result)
     base = _olse_objective(view, alpha, b, u1)
+    slack = PERTURBATION_SLACK * max(1.0, base)
     legacy_objective_excess = _olse_objective(view, alpha, b, u1 - legacy_shift) - base
     gradient_max_abs, stationarity_limit = stationarity_check(view, alpha, b, fit_result.kind)
 
@@ -355,7 +348,6 @@ def perturbation_probe(fit_result: FitResult, trials: int, seed: int) -> OracleR
     del view
     np.subtract(work[:p], u1, out=work[:p])
     moments = _expand(work[p:], alpha, b, u1, out=work[p:])
-    slack = PERTURBATION_SLACK * max(1.0, base)
     violations = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
@@ -367,7 +359,7 @@ def perturbation_probe(fit_result: FitResult, trials: int, seed: int) -> OracleR
         max_abs_deviation <= agreement_limit
         and gradient_max_abs <= stationarity_limit
         and violations == 0
-        and legacy_objective_excess >= -PERTURBATION_SLACK
+        and legacy_objective_excess >= -slack
     )
     return OracleReport(
         max_abs_deviation=max_abs_deviation,

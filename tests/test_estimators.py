@@ -614,7 +614,7 @@ def test_fit_is_equivariant_across_scales(exponent, kind):
 @given(st.integers(-40, 40), st.sampled_from([INTERCEPT, NO_INTERCEPT]),
        st.sampled_from(sorted(SHAPES)))
 def test_fit_is_exactly_equivariant_under_powers_of_two(k, kind, shape):
-    # scaling by 2^k is exact, and so is every step of a fit
+    # scaling by 2^k is exact, and so is every step of a fit and of the checks
     spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
     data = ev.generate_dataset(ev.random_truth(23, 0, kind, p=3, r=2, n=300, sigma0=spec.sigma0))
     base = ev.fit(data, spec)
@@ -624,6 +624,8 @@ def test_fit_is_exactly_equivariant_under_powers_of_two(k, kind, shape):
         np.testing.assert_array_equal(getattr(scaled, name), np.ldexp(getattr(base, name), k))
     for name in ("olse_objective", "glse_objective"):
         assert getattr(scaled, name) == math.ldexp(getattr(base, name), 2 * k)
+    for check in (invariants.glse_stationarity, invariants.mean_shift):
+        assert check(scaled) == check(base)
 
 
 def test_slope_gram_identity():
