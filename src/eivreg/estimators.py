@@ -10,7 +10,8 @@ a first-class, clearly labeled operation because demonstrating that correction
 is a primary purpose of this package.
 
 All estimators are pure functions; no matrix inverse is ever formed
-explicitly (inverse-like expressions go through linear solves).
+explicitly. Cholesky factors are applied by one pivot-free substitution,
+``model_core._forward``, other inverse-like expressions by linear solves.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .model_core import (
     ModelSpec,
     ObservedData,
     _centered_blocks,
+    _forward,
     _gram,
     scatter_matrix,
     signal_eigenstructure,
@@ -46,9 +48,8 @@ class FitResult:
     the fit was made under (``None`` for the identity); the objectives and
     the residual scale are weighted by its inverse. At the fitted means the
     OLSE equals the GLSE objective, one value (see ``_assemble``).
-    ``eigenstructure`` is the decomposition of the scatter matrix the fit
-    was computed from (whitened as L^{-1} W L^{-T} under a known shape
-    sigma0 = L L', L lower triangular); reports read its ``eigengap``,
+    ``eigenstructure`` is the decomposition of the (whitened) scatter matrix
+    the fit was computed from; reports read its ``eigengap``,
     ``g11_condition`` and ``degenerate`` fields. ``data`` is the very
     ``ObservedData`` the fit was given, not a copy: the probe, the invariants
     and ``legacy_means`` take the fit alone and read its data from here.
@@ -184,17 +185,17 @@ def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     b = np.asarray(b, dtype=float)
+    return _forward(_spread_factor(b, sigma0), data.x2 - alpha[:, None] - b @ data.x1)
+
+
+def _spread_factor(b: np.ndarray, sigma0) -> np.ndarray:
+    """Lower Cholesky factor of S = C sigma0 C', C = [-B I] (which annihilates
+    the graph basis [I; B]), or ``NotPositiveDefiniteError``."""
+    c = np.hstack([-b, np.eye(b.shape[0])])
     try:
-        factor = np.linalg.cholesky(_graph_spread(b, sigma0))
+        return np.linalg.cholesky(c @ c.T if sigma0 is None else c @ sigma0 @ c.T)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("C sigma0 C' is not positive definite") from exc
-    return np.linalg.solve(factor, data.x2 - alpha[:, None] - b @ data.x1)
-
-
-def _graph_spread(b: np.ndarray, sigma0) -> np.ndarray:
-    """S = C sigma0 C' with C = [-B I], which annihilates the graph basis [I; B]."""
-    c = np.hstack([-b, np.eye(b.shape[0])])
-    return c @ c.T if sigma0 is None else c @ sigma0 @ c.T
 
 
 def _graph_slope(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -227,10 +228,9 @@ def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     Two passes over the centered columns, each in blocks of at most a few
     thousand: the first forms the scatter matrix W, the second, after W's
     eigenstructure, evaluates the closed forms. Only the returned mean
-    matrices are n-sized. A known covariance shape sigma0 = L L' enters
-    only through (p+r)-by-(p+r) matrices: the eigenstructure is that of
-    L^{-1} W L^{-T}, with L its lower Cholesky factor, and its signal basis
-    is mapped back through L. The observations are never whitened.
+    matrices are n-sized. A known covariance shape sigma0 enters only
+    through (p+r)-by-(p+r) matrices (``signal_eigenstructure``); the
+    observations are never whitened.
     """
     _validate_for_fit(data, spec)
     if spec.sigma0 is not None:
@@ -243,15 +243,9 @@ def _fit_whitened(data: ObservedData, kind: ModelKind, sigma0: np.ndarray) -> Fi
 
 
 def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenStructure:
-    """Eigenstructure of the scatter of (each stacked dataset in) ``data``,
-    whitened as L^{-1} W L^{-T} under a known shape sigma0 = L L', with two
-    solves against its lower Cholesky factor L (W is symmetric)."""
-    w = scatter_matrix(data, kind)
-    if sigma0 is None:
-        return signal_eigenstructure(w, data.p)
-    root = np.linalg.cholesky(sigma0)
-    white = np.linalg.solve(root, np.linalg.solve(root, w).mT)
-    return signal_eigenstructure(white, data.p, root)
+    """Eigenstructure of the scatter of (each stacked dataset in) ``data``
+    under the covariance shape ``sigma0``."""
+    return signal_eigenstructure(scatter_matrix(data, kind), data.p, sigma0)
 
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
@@ -261,7 +255,8 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
     U2 = alpha 1' + B U1 straight into the returned means, and the graph
     residual K = Xc2 - B Xc1, whose Gram matrix adds to H. At the fitted
     means OLSE = GLSE = sum q' S^{-1} q, q = X2 - alpha 1' - B X1 (Gleser
-    1981), and alpha = xbar2 - B xbar1 makes q = K: both are tr(S^{-1} H).
+    1981), and alpha = xbar2 - B xbar1 makes q = K: both are tr(S^{-1} H),
+    taken as tr(R^{-1} H R^{-T}) through S's lower Cholesky factor R.
     Centering keeps the data's offset out of K; the trailing eigenvalues of
     W would lose its relative precision as the noise shrinks."""
     b_hat = estimate_b(es)
@@ -275,7 +270,8 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
         estimate_u2(u1, alpha_hat, b_hat, out=u2_hat[:, cols])
         block[data.p :] -= _product(b_hat, block[: data.p])  # the graph residual K
         gram += _gram(block[data.p :])
-    objective = float(np.trace(np.linalg.solve(_graph_spread(b_hat, sigma0), gram)))
+    factor = _spread_factor(b_hat, sigma0)  # H is exactly symmetric: (R^{-1} H)' = H R^{-T}
+    objective = float(np.trace(_forward(factor, _forward(factor, gram).T.copy())))
     return FitResult(
         kind=kind,
         b_hat=b_hat,

@@ -35,10 +35,8 @@ def mean_shift(result: FitResult) -> float:
     predictor means with an intercept, zero without one."""
     data = result.data
     legacy = legacy_u1(data, result.eigenstructure, result.kind)
-    x1_mean = data.row_means[: data.p, None]
-    scale = _max_abs(data.x1 - x1_mean) + _max_abs(x1_mean)
-    shift = x1_mean if result.kind is ModelKind.INTERCEPT else 0.0
-    return _max_abs(result.u1_hat - legacy - shift) / (1e-12 * scale)
+    shift = data.row_means[: data.p, None] if result.kind is ModelKind.INTERCEPT else 0.0
+    return _max_abs(result.u1_hat - legacy - shift) / (1e-12 * oracle.predictor_scale(data))
 
 
 def slope_gram(result: FitResult) -> float:
@@ -50,9 +48,10 @@ def slope_gram(result: FitResult) -> float:
 
 
 def oracle_agreement(result: FitResult) -> float:
-    """Fitted means against the per-column oracle's, weighted by ``result.sigma0``."""
+    """Fitted means against the per-column oracle's, weighted by ``result.sigma0``;
+    a zero deviation reads 0."""
     deviation, limit = oracle.agreement_check(result)
-    return deviation / limit
+    return deviation / limit if deviation else 0.0
 
 
 def glse_stationarity(result: FitResult) -> float:

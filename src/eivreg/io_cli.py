@@ -395,18 +395,9 @@ def run_verify_suite(seed: int, instances: int) -> dict:
             entry["checked"] += 1
             entry["max_ratio"] = max(entry["max_ratio"], ratio)
             if ratio > 1.0 and first_failure is None:
-                first_failure = {
-                    "invariant": name,
-                    "ratio": ratio,
-                    "seed": seed,
-                    "index": index,
-                    "kind": kind.value,
-                    "p": data.p,
-                    "r": data.r,
-                    "n": data.n,
-                    "x1": data.x1.tolist(),
-                    "x2": data.x2.tolist(),
-                }
+                first_failure = dict(invariant=name, ratio=ratio, seed=seed, index=index,
+                                     kind=kind.value, p=data.p, r=data.r, n=data.n,
+                                     x1=data.x1.tolist(), x2=data.x2.tolist())
 
     return {
         "seed": seed,
@@ -524,22 +515,12 @@ def _cmd_fit(args) -> int:
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
     spec = ModelSpec(kind=kind, sigma0=sigma0)
     result = fit(data, spec)
-    oracle_report = None
-    if args.verify:
-        oracle_report = perturbation_probe(result, 200, FIT_VERIFY_SEED)
+    oracle_report = perturbation_probe(result, 200, FIT_VERIFY_SEED) if args.verify else None
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
-    report = build_fit_report(
-        result=result,
-        input_path=args.input,
-        emit_means=args.emit_means,
-        legacy=legacy,
-        oracle_report=oracle_report,
-    )
+    report = build_fit_report(result, args.input, args.emit_means, legacy, oracle_report)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     _write_output(text, args.output)
-    if oracle_report is not None and not oracle_report.passed:
-        return 3
-    return 0
+    return 3 if oracle_report is not None and not oracle_report.passed else 0
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:

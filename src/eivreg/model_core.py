@@ -164,12 +164,13 @@ class EigenStructure:
     covariance shape sigma0 = L L' (L its lower Cholesky factor), that of
     L^{-1} W L^{-T}. For its leading p eigenvectors G_s, ``g11`` is the top
     p-by-p block of the signal basis L G_s, ``g21`` the block below it and
-    ``left`` is G_s' L^{-1} (G_s and G_s' without sigma0). ``eigengap``
-    separates the p-th and (p+1)-th eigenvalues. ``g11_condition``,
-    |L|_2 / sigma_min(g11), bounds the condition number of ``g11`` (no block
-    of the basis has a singular value above |L|_2 = |sigma0|_2^{1/2}) and
-    does not change when sigma0 is scaled. ``signal_eigenstructure`` builds
-    it; the last three fields are numpy scalars, or arrays for a stack.
+    ``left`` is G_s' L^{-1}, by substitution (G_s and G_s' without sigma0).
+    ``eigengap`` separates the p-th and (p+1)-th eigenvalues. ``g11_condition``,
+    |L|_2 / sigma_min(g11), bounds the condition number of ``g11`` (no block of
+    the basis has a singular value above |L|_2 = |sigma0|_2^{1/2}); it keeps its
+    value when sigma0 is scaled, not when one variable's unit changes. Built
+    by ``signal_eigenstructure``; the last three fields are numpy scalars, or
+    arrays for a stack.
     """
 
     eigenvalues: np.ndarray
@@ -227,13 +228,24 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows[..., :, None, :], rows[..., None, :, :])
 
 
-def signal_eigenstructure(w, p: int, root=None) -> EigenStructure:
+def _forward(lower, rows):
+    """Overwrite ``rows`` (each matrix of a stack) with lower^{-1} rows and
+    return it: forward substitution, without pivoting, by one elementwise
+    product per entry of the lower triangular ``lower``."""
+    for i in range(rows.shape[-2]):
+        for j in range(i):
+            rows[..., i, :] -= lower[i, j] * rows[..., j, :]
+        rows[..., i, :] /= lower[i, i]
+    return rows
+
+
+def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
     """Signal basis and descending spectrum of the scatter matrix.
 
     ``w`` must be square, finite and symmetric to 1e-10 relative, and
     1 <= p < its order. The leading p eigenvectors span the fitted signal
-    subspace; ``root``, sigma0's lower Cholesky factor L, maps its basis
-    back from a ``w`` whitened as L^{-1} W L^{-T} (see ``EigenStructure``).
+    subspace. A covariance shape ``sigma0`` = L L', L lower triangular,
+    whitens ``w`` as L^{-1} W L^{-T} by ``_forward`` (see ``EigenStructure``).
     Warns with ``DegenerateSubspaceWarning`` when the eigengap at the
     signal/noise cut vanishes relative to the leading eigenvalue;
     ``estimate_b`` decides whether the slope is computable. A stack of
@@ -249,14 +261,19 @@ def signal_eigenstructure(w, p: int, root=None) -> EigenStructure:
         raise ValidationError(f"p must satisfy 1 <= p < {w.shape[-1]}, got {p}")
     if np.any(np.max(np.abs(w - w.mT), axis=(-2, -1)) > 1e-10 * np.max(np.abs(w), axis=(-2, -1))):
         raise ValidationError("w is not symmetric to 1e-10 relative")
+    if sigma0 is not None:
+        root = np.linalg.cholesky(sigma0)
+        w = _forward(root, _forward(root, w.copy()).mT.copy())
     eigenvalues, g = np.linalg.eigh((w + w.mT) / 2.0)
     # stable sort keeps the solver's tie order for repeated eigenvalues
     order = np.argsort(-eigenvalues, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
     signal = np.take_along_axis(g, order[..., None, :], axis=-1)[..., :p]
     basis, left, root_norm = signal, signal.mT, 1.0
-    if root is not None:
-        basis, left = root @ signal, np.linalg.solve(root.mT, signal).mT
+    if sigma0 is not None:
+        # L^{-T} G_s: L' read with its rows and columns reversed is lower triangular
+        reversed_left = _forward(root.mT[::-1, ::-1], signal[..., ::-1, :].copy())
+        basis, left = root @ signal, reversed_left[..., ::-1, :].mT
         root_norm = float(np.linalg.norm(root, 2))
     g11 = basis[..., :p, :].copy()
     g21 = basis[..., p:, :].copy()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult
-from .model_core import ModelKind, ObservedData, _require_count
+from .model_core import ModelKind, ObservedData, _forward, _require_count
 
 PERTURBATION_SLACK = 1e-12
 AGREEMENT_TOL = 1e-9
@@ -174,17 +174,24 @@ def glse_gradient_check(data: ObservedData, alpha, b,
     return (gradient, scale) if intercept else (gradient[r:], scale[r:])
 
 
+def predictor_scale(data: ObservedData) -> float:
+    """max|X1 - xbar1 1'| + max|xbar1|, the predictors' size, which scales
+    with them and does not shrink with their offset."""
+    x1_mean = data.row_means[: data.p, None]
+    return float(np.max(np.abs(data.x1 - x1_mean)) + np.max(np.abs(x1_mean)))
+
+
 def agreement_check(fit_result: FitResult) -> tuple[float, float]:
     """The oracle agreement check as (deviation, limit), passing when
     deviation <= limit: the largest entry of |oracle means - fitted means|,
     the oracle's projection of the fit's data weighted by
-    ``fit_result.sigma0``, against ``AGREEMENT_TOL`` relative to the fitted
-    means."""
-    u1 = fit_result.u1_hat
-    oracle_u1 = project_columns_oracle(fit_result.data, fit_result.alpha_hat, fit_result.b_hat,
+    ``fit_result.sigma0``, against ``AGREEMENT_TOL`` times the predictors'
+    ``predictor_scale``, which the fitted means do not enter."""
+    data = fit_result.data
+    oracle_u1 = project_columns_oracle(data, fit_result.alpha_hat, fit_result.b_hat,
                                        fit_result.sigma0)
-    deviation = float(np.max(np.abs(oracle_u1 - u1)))
-    return deviation, AGREEMENT_TOL * max(1.0, float(np.max(np.abs(u1))))
+    deviation = float(np.max(np.abs(oracle_u1 - fit_result.u1_hat)))
+    return deviation, AGREEMENT_TOL * predictor_scale(data)
 
 
 def stationarity_check(view: ObservedData, alpha, b, kind: ModelKind) -> tuple[float, float]:
@@ -198,24 +205,16 @@ def stationarity_check(view: ObservedData, alpha, b, kind: ModelKind) -> tuple[f
     return float(np.max(ratio)), STATIONARITY_TOL
 
 
-def _forward(lower, rows):
-    """Overwrite ``rows`` with lower^{-1} rows, one row at a time by forward
-    substitution, and return it; ``lower`` is lower triangular."""
-    for i in range(len(rows)):
-        rows[i] -= lower[i, :i] @ rows[:i]
-        rows[i] /= lower[i, i]
-    return rows
-
-
 def _working_view(fit_result):
     """A writable copy of the fit's data (an ``ObservedData``), the fitted triple
     and the legacy means' shift, in the coordinates where the identity-shape
     least-squares criteria apply: the data's own, or, under a covariance
     shape sigma0 = L L', whitened by L^{-1} before it is wrapped, with L its
-    lower Cholesky factor. The fit's alpha and B map as the whitened offset L^{-1} [0; alpha]
-    and graph L^{-1} [I; B]. L^{-1} is lower triangular, so the whitened mean
-    vectors are L11^{-1} U1 and the shift L11^{-1} xbar1, through the top
-    p-by-p block L11 alone, and U2 is not read."""
+    lower Cholesky factor. The fit's alpha and B map as the whitened offset
+    L^{-1} [0; alpha] and graph L^{-1} [I; B], whose top block is L11^{-1}
+    (L11 the top p-by-p block of L), so the whitened slope is its bottom
+    block times L11. The whitened mean vectors are L11^{-1} U1 and the shift
+    L11^{-1} xbar1; U2 is not read."""
     data = fit_result.data
     p = data.p
     alpha = np.asarray(fit_result.alpha_hat, dtype=float)
@@ -226,10 +225,9 @@ def _working_view(fit_result):
         shift = data.row_means[:p, None] if intercept else 0.0
         return ObservedData._of(data.x.copy(), p), alpha, b, u1, shift
     root = np.linalg.cholesky(fit_result.sigma0)
-    graph = _forward(root, np.vstack([np.eye(p), b]))
-    b_white = np.linalg.solve(graph[:p].T, graph[p:].T).T
-    alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha]))[p:]
     top = root[:p, :p]
+    b_white = _forward(root, np.vstack([np.eye(p), b]))[p:] @ top
+    alpha_white = _forward(root, np.concatenate([np.zeros(p), alpha])[:, None])[p:, 0]
     # _forward writes in place: a copy of the read-only row means the fit shares
     legacy_shift = _forward(top, data.row_means[:p, None].copy()) if intercept else 0.0
     work = ObservedData._of(_forward(root, data.x.copy()), p)

@@ -624,8 +624,38 @@ def test_fit_is_exactly_equivariant_under_powers_of_two(k, kind, shape):
         np.testing.assert_array_equal(getattr(scaled, name), np.ldexp(getattr(base, name), k))
     for name in ("olse_objective", "glse_objective"):
         assert getattr(scaled, name) == math.ldexp(getattr(base, name), 2 * k)
-    for check in (invariants.glse_stationarity, invariants.mean_shift):
+    for check in (invariants.glse_stationarity, invariants.mean_shift,
+                  invariants.oracle_agreement):
         assert check(scaled) == check(base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-10, 10), min_size=5, max_size=5),
+       st.sampled_from([INTERCEPT, NO_INTERCEPT]))
+def test_dense_fit_is_exactly_equivariant_under_per_variable_powers_of_two(exponents, kind):
+    # x -> T x with T = diag(2^k_i) and sigma0 -> T sigma0 T: whitening
+    # substitutes without pivoting, so every step of a fit maps bit for bit
+    sigma0 = SHAPES["dense"]
+    data = ev.generate_dataset(ev.random_truth(29, 0, kind, p=3, r=2, n=300, sigma0=sigma0))
+    t = np.ldexp(1.0, np.array(exponents))
+    a, d = t[:3], t[3:]
+    base_spec = ev.ModelSpec(kind=kind, sigma0=sigma0)
+    spec = ev.ModelSpec(kind=kind, sigma0=sigma0 * np.outer(t, t))
+    base = ev.fit(data, base_spec)
+    moved = ev.ObservedData(x1=a[:, None] * data.x1, x2=d[:, None] * data.x2)
+    scaled = ev.fit(moved, spec)
+    np.testing.assert_array_equal(scaled.b_hat, d[:, None] * base.b_hat / a)
+    np.testing.assert_array_equal(scaled.alpha_hat, d * base.alpha_hat)
+    np.testing.assert_array_equal(scaled.u1_hat, a[:, None] * base.u1_hat)
+    np.testing.assert_array_equal(scaled.u2_hat, d[:, None] * base.u2_hat)
+    np.testing.assert_array_equal(ev.legacy_means(moved, spec, scaled),
+                                  a[:, None] * ev.legacy_means(data, base_spec, base))
+    for name in ("olse_objective", "glse_objective"):
+        assert getattr(scaled, name) == getattr(base, name)
+    for name in ("eigenvalues", "eigengap", "degenerate"):
+        np.testing.assert_array_equal(getattr(scaled.eigenstructure, name),
+                                      getattr(base.eigenstructure, name))
+    assert invariants.glse_stationarity(scaled) == invariants.glse_stationarity(base)
 
 
 def test_slope_gram_identity():

@@ -226,6 +226,22 @@ def test_probe_excess_vanishes_after_demeaning_x1():
             assert ev.perturbation_probe(result, trials=50, seed=7).passed
 
 
+def test_probe_rejects_the_legacy_means_at_every_scale():
+    # the agreement limit is relative to the predictors, not absolute and not
+    # taken from the fitted means, so a fit carrying the legacy means fails
+    # the probe at 2^-40 as at 2^0, and the correct fit passes at each scale
+    spec = ev.ModelSpec(kind=INTERCEPT)
+    for index in range(3):
+        _, data = noisy_instance(seed=3, index=index, p=3, r=2, n=200)
+        for k in (-40, -20, 0, 20, 40):
+            scaled = ev.ObservedData(x1=np.ldexp(data.x1, k), x2=np.ldexp(data.x2, k))
+            result = ev.fit(scaled, spec)
+            legacy = dataclasses.replace(result, u1_hat=ev.legacy_means(scaled, spec, result))
+            assert ev.perturbation_probe(result, trials=20, seed=7).passed
+            assert not ev.perturbation_probe(legacy, trials=20, seed=7).passed
+            assert invariants.oracle_agreement(legacy) > 1.0
+
+
 def test_probe_no_intercept_fit_passes():
     _, data = noisy_instance(seed=64, index=4, kind=NO_INTERCEPT)
     result = ev.fit(data, ev.ModelSpec(kind=NO_INTERCEPT))
