@@ -26,7 +26,7 @@ from .model_core import (
     ModelKind,
     ModelSpec,
     ObservedData,
-    _centered_blocks,
+    _blockwise,
     _forward,
     _gram,
     scatter_matrix,
@@ -125,10 +125,10 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     P (X - xbar 1') with P = g11 ``es.left`` (p-by-(p+r)) and xbar
     ``data.row_means`` for the intercept model, zero without one. Both factors
     are read from the signal basis in data coordinates, so one expression
-    serves every covariance shape. P is applied to the blocks of
-    ``_centered_blocks`` that ``fit`` reads, so no n-sized temporary is
-    formed. Blocks and eigenstructure with matching leading axes give one
-    estimate per leading index.
+    serves every covariance shape. P is applied to the centred blocks of
+    ``_blockwise`` that ``fit`` reads, each worker's in its own buffer, so no
+    n-sized temporary is formed. Blocks and eigenstructure with matching
+    leading axes give one estimate per leading index.
 
     Known-incorrect for the intercept model: it differs from the true
     least-squares estimate by exactly the per-row predictor means. For the
@@ -137,8 +137,7 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     """
     proj = es.g11 @ es.left
     u1 = np.empty(data.x1.shape)
-    for cols, block in _centered_blocks(data, kind):
-        _product(proj, block, out=u1[..., cols])
+    _blockwise(data, kind, lambda cols, block: _product(proj, block, out=u1[..., cols]))
     return u1
 
 
@@ -226,11 +225,12 @@ def fit(data: ObservedData, spec: ModelSpec) -> FitResult:
     """Fit the errors-in-variables model and return all estimates.
 
     Two passes over the centered columns, each in blocks of at most a few
-    thousand: the first forms the scatter matrix W, the second, after W's
-    eigenstructure, evaluates the closed forms. Only the returned mean
-    matrices are n-sized. A known covariance shape sigma0 enters only
-    through (p+r)-by-(p+r) matrices (``signal_eigenstructure``); the
-    observations are never whitened.
+    thousand that ``_blockwise`` shares among the process's CPUs: the first
+    forms the scatter matrix W, the second, after W's eigenstructure,
+    evaluates the closed forms. The result has the same bits whatever the
+    number of CPUs. Only the returned mean matrices are n-sized. A known
+    covariance shape sigma0 enters only through (p+r)-by-(p+r) matrices
+    (``signal_eigenstructure``); the observations are never whitened.
     """
     _validate_for_fit(data, spec)
     if spec.sigma0 is not None:
@@ -250,26 +250,35 @@ def _eigenstructure(data: ObservedData, kind: ModelKind, sigma0=None) -> EigenSt
 
 def _assemble(data, kind, es, sigma0=None) -> FitResult:
     """The closed forms on the signal basis of ``es``, in data coordinates
-    for every covariance shape, on each block Xc of ``_centered_blocks``:
+    for every covariance shape, on each centred block Xc of ``_blockwise``:
     the legacy block P Xc (see ``legacy_u1``), U1 = P Xc + xbar1 and
     U2 = alpha 1' + B U1 straight into the returned means, and the graph
-    residual K = Xc2 - B Xc1, whose Gram matrix adds to H. At the fitted
+    residual K = Xc2 - B Xc1, whose Gram matrix adds to H; B Xc1 is formed in
+    the block's columns of U2 before U2 is, so a block allocates no r-row
+    temporary. At the fitted
     means OLSE = GLSE = sum q' S^{-1} q, q = X2 - alpha 1' - B X1 (Gleser
     1981), and alpha = xbar2 - B xbar1 makes q = K: both are tr(S^{-1} H),
-    taken as tr(R^{-1} H R^{-T}) through S's lower Cholesky factor R.
+    taken as tr(R^{-1} H R^{-T}) through S's lower Cholesky factor R, with
+    H summed over the blocks in block order whatever the worker count.
     Centering keeps the data's offset out of K; the trailing eigenvalues of
     W would lose its relative precision as the noise shrinks."""
     b_hat = estimate_b(es)
     alpha_hat = estimate_alpha(b_hat, data, kind)
     proj = es.g11 @ es.left
     u1_hat, u2_hat = np.empty(data.x1.shape), np.empty(data.x2.shape)
-    gram = np.zeros((data.r, data.r))
-    for cols, block in _centered_blocks(data, kind):
+
+    def residual_gram(cols, block):
+        # public estimators, which the benchmark's tracer wraps with one span
+        # stack for all threads, are called only outside the worker threads
         legacy = _product(proj, block, out=u1_hat[:, cols])
         u1 = _with_mean_shift(legacy, data, kind, out=legacy)
-        estimate_u2(u1, alpha_hat, b_hat, out=u2_hat[:, cols])
-        block[data.p :] -= _product(b_hat, block[: data.p])  # the graph residual K
-        gram += _gram(block[data.p :])
+        u2 = u2_hat[:, cols]  # first B Xc1, then U2
+        block[data.p :] -= _product(b_hat, block[: data.p], out=u2)  # the graph residual K
+        _product(b_hat, u1, out=u2)  # estimate_u2, inline
+        u2 += alpha_hat[:, None]
+        return _gram(block[data.p :])
+
+    gram = sum(_blockwise(data, kind, residual_gram))
     factor = _spread_factor(b_hat, sigma0)  # H is exactly symmetric: (R^{-1} H)' = H R^{-T}
     objective = float(np.trace(_forward(factor, _forward(factor, gram).T.copy())))
     return FitResult(

@@ -9,6 +9,8 @@ estimators read, with its spectrum and diagnostics.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +27,12 @@ DEGENERATE_EIGENGAP_RTOL = 1e-10
 # Columns per pass of the blocked scatter and fit: a (p+r)-row block of them
 # stays in cache between its writes and its reads.
 _BLOCK = 2**13
+
+# Threads that share the blocks of a pass, one per CPU the process may run on.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 class ModelKind(Enum):
@@ -59,14 +67,19 @@ def _covariance_shape(value) -> np.ndarray:
         raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
     if float(np.max(np.abs(s - s.T))) > 1e-12 * float(np.max(np.abs(s))):
         raise ValidationError("sigma0 is not symmetric to 1e-12 relative")
+    _root(s)
+    return s
+
+
+def _root(sigma0: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the covariance shape, or ``NotPositiveDefiniteError``."""
     try:
-        np.linalg.cholesky(s)
+        return np.linalg.cholesky(sigma0)
     except np.linalg.LinAlgError:
-        smallest = np.linalg.eigvalsh((s + s.T) / 2.0)[0]
+        smallest = np.linalg.eigvalsh((sigma0 + sigma0.T) / 2.0)[0]
         raise NotPositiveDefiniteError(
             f"sigma0 is not positive definite (min eigenvalue {smallest:.3e})"
         ) from None
-    return s
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -183,33 +196,69 @@ class EigenStructure:
 
 
 def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
-    """Scatter matrix W of the (centered) stacked observations: the sum of the
-    Gram matrices of the blocks of ``_centered_blocks``, so W is exactly
-    symmetric. Observation blocks with leading axes, a stack of datasets, give
-    one W per dataset, bit for bit the W of that dataset alone.
+    """Scatter matrix W of the (centered) stacked observations: the sum, in
+    block order, of the Gram matrices of the blocks of ``_blockwise``, so W
+    is exactly symmetric and has the same bits whatever the worker count.
+    Observation blocks with leading axes, a stack of datasets, give one W
+    per dataset, bit for bit the W of that dataset alone.
 
     W is read-only and computed once per dataset and model kind: the first
     call makes the pass over the columns and stores W on ``data``, beside
     ``row_means``, and later calls return that same array."""
     memo = vars(data).setdefault("_scatter", {})
     if kind not in memo:
-        w = sum(_gram(block) for _, block in _centered_blocks(data, kind))
+        w = sum(_blockwise(data, kind, lambda _, block: _gram(block)))
         w.setflags(write=False)
         memo.setdefault(kind, w)  # concurrent first calls all return the first W stored
     return memo[kind]
 
 
-def _centered_blocks(data: ObservedData, kind: ModelKind):
-    """Yield each slice of ``_column_blocks`` with the columns of ``data.x``
-    in it less ``data.row_means`` (less 0 without an intercept, an exact
-    copy), one subtraction per block into one reused (p+r)-row buffer. A
-    block is valid until the next one is yielded."""
-    buffer = np.empty(data.x.shape[:-1] + (min(data.n, _BLOCK),))
+def _blockwise(data: ObservedData, kind: ModelKind, work) -> list:
+    """``work(cols, block)`` for each slice ``cols`` of ``_column_blocks``,
+    ``block`` holding the columns of ``data.x`` in it less ``data.row_means``
+    (less 0 without an intercept, an exact copy); the results in block order.
+
+    The blocks are split into contiguous runs, one per worker, up to
+    ``_WORKERS`` and at most one per block; the first run is taken on the
+    calling thread, each other on a thread of its own, and one block runs
+    inline with no thread started. A run centres its blocks one after another
+    by one subtraction each into its own (p+r)-row buffer, so a block is valid
+    only during its ``work`` call, and ``work`` may write only to its own
+    columns. The buffers are allocated on the calling thread: one allocated
+    on a new thread comes from a new malloc arena, and raises the process's
+    peak memory by its size. Each block gets the same arithmetic whatever the worker count.
+    An exception in any run is raised here once every run has stopped."""
+    blocks = _column_blocks(data.n)
     means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else 0.0
-    for cols in _column_blocks(data.n):
-        block = buffer[..., : cols.stop - cols.start]
-        np.subtract(data.x[..., cols], means, out=block)
-        yield cols, block
+    results, errors = [None] * len(blocks), []
+
+    def run(indices: range, buffer: np.ndarray) -> None:
+        try:
+            for i in indices:
+                cols = blocks[i]
+                block = buffer[..., : cols.stop - cols.start]
+                np.subtract(data.x[..., cols], means, out=block)
+                results[i] = work(cols, block)
+        except BaseException as exc:  # raised on the calling thread once all runs stop
+            errors.append(exc)
+
+    workers = min(_WORKERS, len(blocks))
+    runs = [range(len(blocks) * k // workers, len(blocks) * (k + 1) // workers)
+            for k in range(workers)]
+    buffers = [np.empty(data.x.shape[:-1] + (min(data.n, _BLOCK),)) for _ in runs]
+    threads = []
+    try:
+        for indices, buffer in zip(runs[1:], buffers[1:]):
+            thread = threading.Thread(target=run, args=(indices, buffer))
+            thread.start()
+            threads.append(thread)
+        run(runs[0], buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _column_blocks(n: int) -> list[slice]:
@@ -245,7 +294,10 @@ def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
     ``w`` must be square, finite and symmetric to 1e-10 relative, and
     1 <= p < its order. The leading p eigenvectors span the fitted signal
     subspace. A covariance shape ``sigma0`` = L L', L lower triangular,
-    whitens ``w`` as L^{-1} W L^{-T} by ``_forward`` (see ``EigenStructure``).
+    whitens ``w`` as L^{-1} W L^{-T} by ``_forward`` (see ``EigenStructure``);
+    one whose shape is not that of ``w`` (of each matrix of a stack) or with
+    a non-finite entry raises ``ValidationError``, one with no Cholesky
+    factor ``NotPositiveDefiniteError``.
     Warns with ``DegenerateSubspaceWarning`` when the eigengap at the
     signal/noise cut vanishes relative to the leading eigenvalue;
     ``estimate_b`` decides whether the slope is computable. A stack of
@@ -262,7 +314,12 @@ def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
     if np.any(np.max(np.abs(w - w.mT), axis=(-2, -1)) > 1e-10 * np.max(np.abs(w), axis=(-2, -1))):
         raise ValidationError("w is not symmetric to 1e-10 relative")
     if sigma0 is not None:
-        root = np.linalg.cholesky(sigma0)
+        sigma0 = np.asarray(sigma0, dtype=float)
+        if sigma0.shape != w.shape[-2:]:
+            raise ValidationError(f"sigma0 shape {sigma0.shape} does not match w's {w.shape[-2:]}")
+        if not np.all(np.isfinite(sigma0)):
+            raise ValidationError("sigma0 contains non-finite entries")
+        root = _root(sigma0)
         w = _forward(root, _forward(root, w.copy()).mT.copy())
     eigenvalues, g = np.linalg.eigh((w + w.mT) / 2.0)
     # stable sort keeps the solver's tie order for repeated eigenvalues

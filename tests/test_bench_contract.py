@@ -8,11 +8,12 @@ Nothing under bench/ is changed.
 import importlib
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from eivreg import estimators, io_cli
+from eivreg import estimators, io_cli, model_core
 from eivreg.model_core import ModelKind, ModelSpec, ObservedData
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +103,40 @@ def test_traced_identity_fit_records_every_estimator_span(monkeypatch):
     metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
                                     overhead=0.0)
     assert metrics["estimators.scatter_calls"]["value"] == 1
+
+
+def test_traced_fit_on_several_workers_keeps_its_spans_under_the_fit(monkeypatch):
+    # the tracer keeps one span stack for every thread, so the worker threads
+    # of the column-block passes must call no traced function
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(model_core, "_WORKERS", 3)
+    rng = np.random.default_rng(6)
+    n = 3 * model_core._BLOCK
+    x1 = rng.normal(size=(3, n)) + 2.0
+    data = ObservedData(x1=x1, x2=rng.normal(size=(2, 3)) @ x1 + 0.3 * rng.normal(size=(2, n)))
+
+    tracer = tracing.Tracer()
+    threads = set()
+    record_span = tracer.span
+
+    def span_on_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return record_span(*args, **kwargs)
+
+    tracer.span = span_on_thread
+    tracing.instrument(tracer)
+    try:
+        estimators.fit(data, ModelSpec(kind=ModelKind.INTERCEPT))
+    finally:
+        tracer.close()
+
+    assert threads == {threading.get_ident()}
+    fit, = (span for span in tracer.spans if span["parent"] is None)
+    assert fit["name"] == "estimators.fit"
+    for name in ("model_core.scatter_matrix", "estimators._assemble"):
+        spans = [span for span in tracer.spans if span["name"] == name]
+        assert [span["parent"] for span in spans] == [fit["index"]]
 
 
 def test_traced_simulate_records_the_sweep_span(tmp_path, monkeypatch):

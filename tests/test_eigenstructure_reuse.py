@@ -137,16 +137,16 @@ def test_fit_and_legacy_means_take_the_row_means_once(kind, passes, with_sigma0)
 @pytest.fixture
 def scatter_passes(monkeypatch):
     """Count, per model kind, the passes ``scatter_matrix`` makes over the
-    columns: the calls of ``_centered_blocks`` it looks up in ``model_core``
+    columns: the calls of ``_blockwise`` it looks up in ``model_core``
     (the fit's second pass and the legacy means bind the name in ``estimators``)."""
     passes = Counter()
-    original = model_core._centered_blocks
+    original = model_core._blockwise
 
-    def counted(data, kind):
+    def counted(data, kind, work):
         passes[kind] += 1
-        return original(data, kind)
+        return original(data, kind, work)
 
-    monkeypatch.setattr(model_core, "_centered_blocks", counted)
+    monkeypatch.setattr(model_core, "_blockwise", counted)
     return passes
 
 

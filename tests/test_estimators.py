@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import eivreg as ev
 from eivreg import estimators, invariants, model_core
+from test_eigenstructure_reuse import assert_same_bits
 
 INTERCEPT = ev.ModelKind.INTERCEPT
 NO_INTERCEPT = ev.ModelKind.NO_INTERCEPT
@@ -400,11 +403,13 @@ def test_blocked_fit_means_equal_the_whole_data_estimates(p, r, kind, shape, n):
                                   ev.legacy_u1(data, result.eigenstructure, kind))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_fit_allocates_only_its_means_and_one_block(kind, shape):
-    # beyond U1 and U2, a fit holds block-sized buffers whatever n is, and so
-    # do the legacy means beyond theirs
+def test_fit_allocates_only_its_means_and_one_block(kind, shape, workers, monkeypatch):
+    # beyond U1 and U2, a fit holds block-sized buffers, one set per worker,
+    # whatever n is, and so do the legacy means beyond theirs
+    monkeypatch.setattr(model_core, "_WORKERS", workers)
     rng = np.random.default_rng(13)
     spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
     excess, legacy_excess = [], []
@@ -423,9 +428,99 @@ def test_fit_allocates_only_its_means_and_one_block(kind, shape):
             tracemalloc.stop()
         excess.append(peak - result.u1_hat.nbytes - result.u2_hat.nbytes)
         legacy_excess.append(legacy_peak - legacy.nbytes)
-    assert max(excess) < 1e6
+    assert max(excess) < workers * 1e6
     assert excess[1] == pytest.approx(excess[0], rel=0.1)
-    assert max(legacy_excess) < 1e6
+    assert max(legacy_excess) < workers * 1e6
+
+
+@pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK + 3, 5 * BLOCK + 1])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_a_fit_has_the_same_bits_on_any_number_of_workers(kind, shape, n, monkeypatch):
+    # a single column cannot be fitted; the stacked passes below take n = 1
+    x = ev.generate_dataset(ev.random_truth(9, 8, kind, p=3, r=2, n=n)).x
+    spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
+    fits = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(model_core, "_WORKERS", workers)
+        data = ev.ObservedData(x1=x[:3], x2=x[3:])  # fresh, so W is scattered again
+        result = ev.fit(data, spec)
+        fits.append((result, ev.scatter_matrix(data, kind), ev.legacy_means(data, spec, result)))
+    for result, w, legacy in fits[1:]:
+        assert_same_bits(result, fits[0][0])
+        np.testing.assert_array_equal(w, fits[0][1], strict=True)
+        np.testing.assert_array_equal(legacy, fits[0][2], strict=True)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 3, 5 * BLOCK + 1])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_stacked_passes_have_the_same_bits_on_any_number_of_workers(kind, shape, n, monkeypatch):
+    # the W and the legacy means of the simulate sweep's stacks of replicates
+    stack = np.random.default_rng(n).normal(loc=3.0, size=(3, 5, n))
+    passes = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(model_core, "_WORKERS", workers)
+        data = ev.ObservedData._of(stack, 2)
+        w = ev.scatter_matrix(data, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ev.DegenerateSubspaceWarning)  # W = 0 at n = 1
+            es = ev.signal_eigenstructure(w, 2, SHAPES[shape])
+        passes.append((w, ev.legacy_u1(data, es, kind)))
+    for w, legacy in passes[1:]:
+        np.testing.assert_array_equal(w, passes[0][0], strict=True)
+        np.testing.assert_array_equal(legacy, passes[0][1], strict=True)
+
+
+def test_more_workers_than_cpus_switching_often_keep_the_bits(monkeypatch):
+    # one block per worker, and the interpreter switching threads about
+    # every bytecode: a lost result or an unwritten column changes the fit
+    x = ev.generate_dataset(ev.random_truth(9, 8, INTERCEPT, p=3, r=2, n=9 * BLOCK + 5)).x
+    spec = ev.ModelSpec(kind=INTERCEPT, sigma0=SHAPES["dense"])
+    alone = ev.fit(ev.ObservedData(x1=x[:3], x2=x[3:]), spec)
+    monkeypatch.setattr(model_core, "_WORKERS", 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = ev.fit(ev.ObservedData(x1=x[:3], x2=x[3:]), spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_bits(shared, alone)
+
+
+class BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["calling", "worker"])
+def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(failing, monkeypatch):
+    monkeypatch.setattr(model_core, "_WORKERS", 3)
+    original = model_core._gram
+
+    def gram(rows):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "calling"):
+            raise BlockFailure(failing)
+        return original(rows)
+
+    monkeypatch.setattr(model_core, "_gram", gram)
+    x = ev.generate_dataset(ev.random_truth(9, 8, INTERCEPT, p=3, r=2, n=3 * BLOCK)).x
+    before = threading.active_count()
+    with pytest.raises(BlockFailure, match=failing):
+        ev.fit(ev.ObservedData(x1=x[:3], x2=x[3:]), ev.ModelSpec(kind=INTERCEPT))
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(model_core, "_WORKERS", 4)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    data = ev.generate_dataset(ev.random_truth(9, 8, INTERCEPT, p=3, r=2, n=BLOCK))
+    result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
+    ev.legacy_means(data, ev.ModelSpec(kind=INTERCEPT), result)
 
 
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])

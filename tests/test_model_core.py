@@ -291,6 +291,22 @@ def test_eigenstructure_rejects_non_square():
             ev.signal_eigenstructure(w, p=1)
 
 
+def test_eigenstructure_rejects_a_sigma0_of_another_shape():
+    with pytest.raises(ev.ValidationError, match="sigma0 shape"):
+        ev.signal_eigenstructure(np.diag([3.0, 1.0]), p=1, sigma0=np.eye(3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_eigenstructure_rejects_a_non_finite_sigma0(entry):
+    with pytest.raises(ev.ValidationError, match="sigma0 contains non-finite"):
+        ev.signal_eigenstructure(np.diag([3.0, 1.0]), p=1, sigma0=[[1.0, 0.0], [0.0, entry]])
+
+
+def test_eigenstructure_rejects_an_indefinite_sigma0():
+    with pytest.raises(ev.NotPositiveDefiniteError, match="min eigenvalue -1"):
+        ev.signal_eigenstructure(np.diag([3.0, 1.0]), p=1, sigma0=[[1.0, 2.0], [2.0, 1.0]])
+
+
 def test_vertical_signal_is_unidentifiable():
     # all scatter in the response block: the signal direction has no
     # predictor component, so the slope is not computable
