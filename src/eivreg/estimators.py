@@ -141,10 +141,9 @@ def legacy_u1(data: ObservedData, es: EigenStructure, kind: ModelKind) -> np.nda
     return u1
 
 
-def estimate_u2(u1_hat, alpha_hat, b_hat, out=None) -> np.ndarray:
-    """Response mean vectors implied by the model: alpha 1' + B U1, written
-    into ``out`` if given."""
-    u2 = _product(np.asarray(b_hat, dtype=float), np.asarray(u1_hat, dtype=float), out=out)
+def estimate_u2(u1_hat, alpha_hat, b_hat) -> np.ndarray:
+    """Response mean vectors implied by the model: alpha 1' + B U1."""
+    u2 = _product(np.asarray(b_hat, dtype=float), np.asarray(u1_hat, dtype=float))
     u2 += np.asarray(alpha_hat, dtype=float)[:, None]
     return u2
 
