@@ -403,13 +403,9 @@ def test_blocked_fit_means_equal_the_whole_data_estimates(p, r, kind, shape, n):
                                   ev.legacy_u1(data, result.eigenstructure, kind))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
-def test_fit_allocates_only_its_means_and_one_block(kind, shape, workers, monkeypatch):
-    # beyond U1 and U2, a fit holds block-sized buffers, one set per worker,
-    # whatever n is, and so do the legacy means beyond theirs
-    monkeypatch.setattr(model_core, "_WORKERS", workers)
+def fit_excess(kind, shape):
+    """Peak bytes a fit at n = 10^5 and at 10^6 holds beyond U1 and U2, and
+    the legacy means beyond theirs."""
     rng = np.random.default_rng(13)
     spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
     excess, legacy_excess = [], []
@@ -428,6 +424,27 @@ def test_fit_allocates_only_its_means_and_one_block(kind, shape, workers, monkey
             tracemalloc.stop()
         excess.append(peak - result.u1_hat.nbytes - result.u2_hat.nbytes)
         legacy_excess.append(legacy_peak - legacy.nbytes)
+    return excess, legacy_excess
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_allocates_only_its_means_and_one_block(kind, shape, monkeypatch):
+    # beyond U1 and U2, a fit on one worker holds block-sized buffers whatever
+    # n is, and so do the legacy means beyond theirs
+    monkeypatch.setattr(model_core, "_WORKERS", 1)
+    excess, legacy_excess = fit_excess(kind, shape)
+    assert max(excess) < 1e6
+    assert excess[1] == pytest.approx(excess[0], rel=0.1)
+    assert max(legacy_excess) < 1e6
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
+def test_fit_allocates_one_block_per_worker(kind, shape, workers, monkeypatch):
+    monkeypatch.setattr(model_core, "_WORKERS", workers)
+    excess, legacy_excess = fit_excess(kind, shape)
     assert max(excess) < workers * 1e6
     assert excess[1] == pytest.approx(excess[0], rel=0.1)
     assert max(legacy_excess) < workers * 1e6
