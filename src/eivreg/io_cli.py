@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -261,18 +262,12 @@ def build_fit_report(
             "note": LEGACY_MEANS_NOTE,
         }
     if oracle_report is not None:
-        report["oracle"] = {
-            "max_abs_deviation": float(oracle_report.max_abs_deviation),
-            "gradient_max_abs": float(oracle_report.gradient_max_abs),
-            "perturbation_violations": int(oracle_report.perturbation_violations),
-            "legacy_objective_excess": float(oracle_report.legacy_objective_excess),
-            "passed": bool(oracle_report.passed),
-        }
+        report["oracle"] = asdict(oracle_report)
     return report
 
 
 def report_to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` and a newline, byte for byte.
+    """What ``json.dumps`` writes for ``report`` with ``indent=2``, and a newline, byte for byte.
 
     Each list of finite floats is written with one join instead of the
     encoder's per-element loop; json writes every other value and every key.
@@ -357,19 +352,9 @@ def consistency_table(report: ConsistencyReport) -> str:
 
 
 def consistency_summary(report: ConsistencyReport, extra: dict) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        **extra,
-        "n_grid": list(report.n_grid),
-        "b_error_median": list(report.b_error_median),
-        "u1_rmse_corrected": list(report.u1_rmse_corrected),
-        "u1_rmse_legacy": list(report.u1_rmse_legacy),
-        "replicates": report.replicates,
-        "seed": report.seed,
-        "skipped": report.skipped,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The sweep's JSON summary: the versions, ``extra``, then ``report``'s fields."""
+    return report_to_json({"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+                           **extra, **asdict(report)})
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +534,6 @@ def _cmd_simulate(args) -> int:
         alpha=alpha,
         sigma2=args.sigma * args.sigma,
         error_kind=ErrorKind(args.error),
-        seed=args.seed,
     )
     report = consistency_experiment(template, grid, args.reps, args.seed, kind=kind)
     table = consistency_table(report)
@@ -573,7 +557,7 @@ def _cmd_verify(args) -> int:
     sys.stdout.write(format_verify_table(suite))
     if suite["first_failure"] is not None:
         sys.stdout.write("first failing instance for reproduction:\n")
-        sys.stdout.write(json.dumps(suite["first_failure"], indent=2) + "\n")
+        sys.stdout.write(report_to_json(suite["first_failure"]))
         return 3
     return 0
 

@@ -28,6 +28,10 @@ DEGENERATE_EIGENGAP_RTOL = 1e-10
 # stays in cache between its writes and its reads.
 _BLOCK = 2**13
 
+# Fewest blocks in a run of a pass: a thread start costs about the work of two
+# blocks, so a run of fewer would not pay for its thread.
+_RUN_BLOCKS = 4
+
 # Threads that share the blocks of a pass, one per CPU the process may run on.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -219,15 +223,16 @@ def _blockwise(data: ObservedData, kind: ModelKind, work) -> list:
     (less 0 without an intercept, an exact copy); the results in block order.
 
     The blocks are split into contiguous runs, one per worker, up to
-    ``_WORKERS`` and at most one per block; the first run is taken on the
-    calling thread, each other on a thread of its own, and one block runs
-    inline with no thread started. A run centres its blocks one after another
-    by one subtraction each into its own (p+r)-row buffer, so a block is valid
-    only during its ``work`` call, and ``work`` may write only to its own
-    columns. The buffers are allocated on the calling thread: one allocated
-    on a new thread comes from a new malloc arena, and raises the process's
-    peak memory by its size. Each block gets the same arithmetic whatever the worker count.
-    An exception in any run is raised here once every run has stopped."""
+    ``_WORKERS`` and at most one per ``_RUN_BLOCKS`` blocks; the first run is
+    taken on the calling thread, each other on a thread of its own, so fewer
+    than 2 * ``_RUN_BLOCKS`` blocks run inline with no thread started. A run
+    centres its blocks one after another by one subtraction each into its own
+    (p+r)-row buffer, so a block is valid only during its ``work`` call, and
+    ``work`` may write only to its own columns. The buffers are allocated on
+    the calling thread: one allocated on a new thread comes from a new malloc
+    arena, and raises the process's peak memory by its size. Each block gets
+    the same arithmetic whatever the worker count. An exception in any run is
+    raised here once every run has stopped."""
     blocks = _column_blocks(data.n)
     means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else 0.0
     results, errors = [None] * len(blocks), []
@@ -242,7 +247,7 @@ def _blockwise(data: ObservedData, kind: ModelKind, work) -> list:
         except BaseException as exc:  # raised on the calling thread once all runs stop
             errors.append(exc)
 
-    workers = min(_WORKERS, len(blocks))
+    workers = max(1, min(_WORKERS, len(blocks) // _RUN_BLOCKS))
     runs = [range(len(blocks) * k // workers, len(blocks) * (k + 1) // workers)
             for k in range(workers)]
     buffers = [np.empty(data.x.shape[:-1] + (min(data.n, _BLOCK),)) for _ in runs]

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .estimators import _eigenstructure, _slopes, _with_mean_shift, legacy_u1
-from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 2)
+from .estimators import fit, legacy_means  # noqa: F401  traced by bench/tracing.py (ROADMAP item 3)
 from .exceptions import ExcessiveSkipsError, ValidationError
 from .model_core import ModelKind, ModelSpec, ObservedData, _as_matrix, _covariance_shape
 from .model_core import _require_count

@@ -111,6 +111,7 @@ def test_traced_fit_on_several_workers_keeps_its_spans_under_the_fit(monkeypatch
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     monkeypatch.setattr(model_core, "_WORKERS", 3)
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)
     rng = np.random.default_rng(6)
     n = 3 * model_core._BLOCK
     x1 = rng.normal(size=(3, n)) + 2.0

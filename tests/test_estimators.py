@@ -444,6 +444,7 @@ def test_fit_allocates_only_its_means_and_one_block(kind, shape, monkeypatch):
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])
 def test_fit_allocates_one_block_per_worker(kind, shape, workers, monkeypatch):
     monkeypatch.setattr(model_core, "_WORKERS", workers)
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)  # every worker runs at n = 10^5 too
     excess, legacy_excess = fit_excess(kind, shape)
     assert max(excess) < workers * 1e6
     assert excess[1] == pytest.approx(excess[0], rel=0.1)
@@ -457,6 +458,7 @@ def test_a_fit_has_the_same_bits_on_any_number_of_workers(kind, shape, n, monkey
     # a single column cannot be fitted; the stacked passes below take n = 1
     x = ev.generate_dataset(ev.random_truth(9, 8, kind, p=3, r=2, n=n)).x
     spec = ev.ModelSpec(kind=kind, sigma0=SHAPES[shape])
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)  # threads on data of a few blocks
     fits = []
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(model_core, "_WORKERS", workers)
@@ -475,6 +477,7 @@ def test_a_fit_has_the_same_bits_on_any_number_of_workers(kind, shape, n, monkey
 def test_stacked_passes_have_the_same_bits_on_any_number_of_workers(kind, shape, n, monkeypatch):
     # the W and the legacy means of the simulate sweep's stacks of replicates
     stack = np.random.default_rng(n).normal(loc=3.0, size=(3, 5, n))
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)
     passes = []
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(model_core, "_WORKERS", workers)
@@ -496,6 +499,7 @@ def test_more_workers_than_cpus_switching_often_keep_the_bits(monkeypatch):
     spec = ev.ModelSpec(kind=INTERCEPT, sigma0=SHAPES["dense"])
     alone = ev.fit(ev.ObservedData(x1=x[:3], x2=x[3:]), spec)
     monkeypatch.setattr(model_core, "_WORKERS", 9)
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -512,6 +516,7 @@ class BlockFailure(Exception):
 @pytest.mark.parametrize("failing", ["calling", "worker"])
 def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(failing, monkeypatch):
     monkeypatch.setattr(model_core, "_WORKERS", 3)
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)
     original = model_core._gram
 
     def gram(rows):
@@ -538,6 +543,29 @@ def test_one_block_starts_no_thread(monkeypatch):
     data = ev.generate_dataset(ev.random_truth(9, 8, INTERCEPT, p=3, r=2, n=BLOCK))
     result = ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
     ev.legacy_means(data, ev.ModelSpec(kind=INTERCEPT), result)
+
+
+@pytest.mark.parametrize("blocks, threads", [(3, 0), (8, 1)])
+def test_a_pass_starts_a_thread_only_for_a_run_of_enough_blocks(blocks, threads, monkeypatch):
+    # a run of fewer than _RUN_BLOCKS blocks costs more to start than it saves
+    monkeypatch.setattr(model_core, "_WORKERS", 2)
+    passes, started = [], []
+    blockwise, thread = model_core._blockwise, threading.Thread
+
+    def counted_blockwise(*args):
+        passes.append(1)
+        return blockwise(*args)
+
+    def counted_thread(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    for module in (model_core, estimators):  # the scatter pass and the fit's second pass
+        monkeypatch.setattr(module, "_blockwise", counted_blockwise)
+    monkeypatch.setattr(threading, "Thread", counted_thread)
+    data = ev.generate_dataset(ev.random_truth(9, 8, INTERCEPT, p=3, r=2, n=blocks * BLOCK))
+    ev.fit(data, ev.ModelSpec(kind=INTERCEPT))
+    assert passes and len(started) == threads * len(passes)
 
 
 @pytest.mark.parametrize("kind", [INTERCEPT, NO_INTERCEPT])

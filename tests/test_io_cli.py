@@ -413,6 +413,7 @@ def test_cli_fit_verify_passes(dataset_csv, capsys):
     ])
     assert code == 0
     report = json.loads(out)
+    assert list(report["oracle"]) == [field.name for field in dataclasses.fields(ev.OracleReport)]
     assert report["oracle"]["passed"] is True
     assert report["oracle"]["perturbation_violations"] == 0
 
@@ -562,6 +563,8 @@ def test_cli_simulate_writes_deterministic_outputs(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
     summary = json.loads((tmp_path / "a.csv.json").read_text())
+    assert list(summary) == ["schema_version", "tool_version", "p", "r", "sigma", "error", "kind",
+                             *(field.name for field in dataclasses.fields(ev.ConsistencyReport))]
     assert summary["skipped"] == 0
     assert len(summary["b_error_median"]) == 2
 
@@ -627,6 +630,24 @@ def test_cli_simulate_nonpositive_dimension_exits_1(capsys, p, r, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+SIMULATE = ["simulate", "--intercept", "--p", "1", "--r", "1", "--reps", "10", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--input", "{path}", "--intercept"],
+     "{path}: cannot infer p and r from header ['a', 'b']; name the predictor block x1*, "
+     "then the response block x2*, or pass --p and --r"),
+    (["fit", "--input", "{path}", "--intercept", "--p", "1"], "pass both p and r, or neither"),
+    (SIMULATE + ["--sigma", "0.1", "--n-grid", "20,x"],
+     "--n-grid must be comma-separated integers, got '20,x'"),
+    (SIMULATE + ["--sigma", "-1", "--n-grid", "20,40"], "--sigma must be finite and >= 0, got -1.0"),
+], ids=["header not inferable", "p without r", "grid not integers", "negative sigma"])
+def test_cli_rejects_unreadable_arguments_with_exit_1(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "ab.csv", "a,b\n0,1\n1,3\n")
+    code, out, err = run_cli(capsys, [arg.format(path=path) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+
+
 def test_cli_simulate_negative_seed_exits_1(capsys):
     code, out, err = run_cli(capsys, [
         "simulate", "--p", "1", "--r", "1", "--sigma", "0.1",
@@ -665,6 +686,30 @@ def test_cli_verify_table_header_and_rows(capsys):
     assert lines[0] == "invariant                    instances     max_ratio  result"
     assert [line.split()[0] for line in lines[1:6]] == list(VERIFY_ROWS)
     assert lines[6] == ""
+
+
+def test_cli_verify_failure_prints_the_instance_to_reproduce(capsys, monkeypatch):
+    check_fit, calls = invariants.check_fit, []
+
+    def one_failing_instance(result):
+        ratios = check_fit(result)
+        calls.append(result)
+        if len(calls) == 4:  # index 3, a no-intercept instance
+            ratios["slope-gram-identity"] = 2.5
+        return ratios
+
+    monkeypatch.setattr(invariants, "check_fit", one_failing_instance)
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "5", "--instances", "6"])
+    table, block = out.split("first failing instance for reproduction:\n")
+    data = ev.generate_dataset(ev.random_truth(5, 3, ev.ModelKind.NO_INTERCEPT))
+    expected = {"invariant": "slope-gram-identity", "ratio": 2.5, "seed": 5, "index": 3,
+                "kind": "no-intercept", "p": data.p, "r": data.r, "n": data.n,
+                "x1": data.x1.tolist(), "x2": data.x2.tolist()}
+    assert code == 3
+    row, = (line for line in table.splitlines() if line.startswith("slope-gram-identity"))
+    assert row.split()[1:] == ["6", "2.500e+00", "FAIL"]
+    assert "INVARIANT FAILURES DETECTED" in table
+    assert block == json.dumps(expected, indent=2) + "\n"
 
 
 def test_cli_verify_zero_instances_exits_1(capsys):

@@ -65,6 +65,23 @@ def test_model_spec_rejects_indefinite_sigma0():
         ev.ModelSpec(kind=INTERCEPT, sigma0=[[1.0, 0.0], [0.0, -2.0]])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ev.ObservedData(x1=[0.0, 1.0], x2=[[1.0, 2.0]]), "x1 must be a 2-D matrix, got ndim=1"),
+    (lambda: ev.ObservedData(x1=np.zeros((0, 2)), x2=[[1.0, 2.0]]),
+     "x1 and x2 must each have at least one row"),
+    (lambda: ev.ObservedData(x1=np.zeros((1, 0)), x2=np.zeros((1, 0))),
+     "at least one observation column is required"),
+    (lambda: ev.ModelSpec(kind=INTERCEPT, sigma0=np.ones((2, 3))),
+     "sigma0 must be square, got shape (2, 3)"),
+    (lambda: ev.ModelSpec(kind="intercept"), "kind must be a ModelKind, got 'intercept'"),
+], ids=["1-D block", "no rows", "no columns", "non-square sigma0", "kind a string"])
+def test_observed_data_and_model_spec_reject_malformed_input(make, message):
+    with pytest.raises(ev.ValidationError) as excinfo:
+        make()
+    assert excinfo.type is ev.ValidationError
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # centering, applied by the scatter matrix
 # ---------------------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_synthetic_truth_validation():
         ev.SyntheticTruth(u1=np.zeros((1, 5)), b=np.zeros((1, 1)), alpha=np.zeros(1), sigma2=-1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: template(p=1, r=1, sigma0=np.eye(3)), "sigma0 shape (3, 3) does not match (2, 2)"),
+    (lambda: template(error_kind="gaussian"), "error_kind must be an ErrorKind, got 'gaussian'"),
+    (lambda: ev.default_mean_grid(13, 5), "mean grid supports up to 12 rows"),
+], ids=["sigma0 size", "error kind a string", "13 mean rows"])
+def test_synthetic_truth_and_mean_grid_reject_malformed_input(make, message):
+    with pytest.raises(ev.ValidationError) as excinfo:
+        make()
+    assert excinfo.type is ev.ValidationError
+    assert str(excinfo.value) == message
+
+
 def test_synthetic_truth_needs_a_response_row():
     with pytest.raises(ev.ValidationError, match="alpha must have at least one entry"):
         ev.SyntheticTruth(u1=np.zeros((1, 5)), b=np.zeros((0, 1)), alpha=np.zeros(0), sigma2=1.0)
