@@ -44,10 +44,8 @@ from .simulate import (
     random_truth,
 )
 
-SCHEMA_VERSION = 1
-
-# Fixed stream for the oracle suite run by `fit --verify`.
-FIT_VERIFY_SEED = 1729
+# 2: the fit report's oracle section no longer carries perturbation_violations
+SCHEMA_VERSION = 2
 
 RESIDUAL_SCALE_NOTE = (
     "ad hoc scale diagnostic (mean squared residual per entry); "
@@ -500,7 +498,7 @@ def _cmd_fit(args) -> int:
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
     spec = ModelSpec(kind=kind, sigma0=sigma0)
     result = fit(data, spec)
-    oracle_report = perturbation_probe(result, 200, FIT_VERIFY_SEED) if args.verify else None
+    oracle_report = perturbation_probe(result) if args.verify else None
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
     report = build_fit_report(result, args.input, args.emit_means, legacy, oracle_report)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)

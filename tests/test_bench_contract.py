@@ -63,7 +63,7 @@ def test_traced_certified_fit_records_every_oracle_span(tmp_path, monkeypatch):
         "oracle.glse_gradient_check", "io_cli.build_fit_report", "io_cli.report_to_json",
     } <= names
     # the direct O(n) sums: the objective at the fitted point and at the
-    # legacy means; the 200 trials and the exact GLSE gradient come from moments
+    # legacy means; the exact GLSE gradient comes from moments
     evals = 2
     assert tracer.counts["oracle.objective_evals"] == evals
     metrics = tracing.layer_metrics(tracer, tracer, 1, import_s=0.0, read_peak_mb=0.0,
