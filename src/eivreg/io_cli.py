@@ -98,24 +98,254 @@ def _parse_cells(path, rows, columns) -> np.ndarray:
     return values
 
 
-def _parse_dataset_fast(path):
-    """Header cells and body values of a dataset, the body parsed by numpy in
-    one pass; ``(None, None)`` unless the body is at least 2 rows of finite
-    values, one per header cell.
+# The exact block reader multiplies or divides a decimal's digits m (an integer
+# below 2^64) by 10^|q| in a long double and rounds that to a double. Up to
+# |q| = 27, m and 10^|q| (= 2^|q| 5^|q|, 5^27 < 2^63) are exact in the x87
+# 64-bit and the IEEE quad 113-bit significand, and the long double is m 10^q
+# correctly rounded. Past 27 the rounded power adds at most one more rounding,
+# so the long double lies within 2 units of its last place (ulps) of m 10^q.
+# A mantissa past int64 (19 digits or more) is cut to its first 19, which
+# moves the value by less than 10^-18 of itself: _CUT_ULPS more at most.
+# IBM double-double (nmant 105) does not round its division correctly. Both
+# formats keep the low 64 bits of the significand in the first 8 of their
+# 16 little-endian bytes; a double drops the lowest nmant - 52 of them.
+_EXACT_LONGDOUBLE = (np.finfo(np.longdouble).nmant in (63, 112)
+                     and np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little")
+_DROPPED_BITS = np.finfo(np.longdouble).nmant - 52
+_CUT_ULPS = -(-2 ** (np.finfo(np.longdouble).nmant + 1) // 10**18)
+# 10^j rounded once (strtold); with m < 10^19 and -307 <= q <= 289, m 10^q is
+# 0 or a normal double's magnitude
+_POW10 = np.array([f"1e{j}" for j in range(308)], dtype=np.longdouble)
+_DECIMAL_POW10 = 10 ** np.arange(18, -1, -1, dtype=np.uint64)
+# A block's transient arrays take about eight times its bytes. On 2*10^5 rows a
+# CLI fit's peak RSS was 0.75 MB above np.loadtxt's at 128 kB; it was 0.4 MB
+# more at 256 kB and 7.7 MB more at 1 MB, and 64 kB took 6 ms longer.
+_BLOCK_BYTES = 1 << 17
+# e, E and line ends become separators of the integer fields; a byte outside
+# the grammar becomes "x", which no integer field holds
+_TO_FIELDS = bytes.maketrans(b"eE\n", b",,,").translate(
+    bytes(b if chr(b) in "0123456789+-.,eE\n" else ord("x") for b in range(256)))
 
-    ``comments=None`` keeps ``#`` an ordinary character, so a ``#`` row or
-    cell fails here instead of being dropped or truncated. Whatever fails
-    here (a decode error, quoted cells, ``1_000``, blank rows holding spaces
-    or commas) is left to the per-cell scan, which accepts it or reports it.
+
+def _header_row(handle):
+    """The first CSV record of a binary file, a leading byte-order mark dropped;
+    None for an empty file. Leaves ``handle`` at the first byte after it."""
+    def lines():
+        for i, line in enumerate(handle):
+            yield line.decode("utf-8-sig" if i == 0 else "utf-8")
+
+    return next(csv.reader(lines()), None)
+
+
+def _decimal_block(block: bytes, ncols: int) -> np.ndarray:
+    """Rows of ``ncols`` decimals from ``block``, whole rows each ending in a
+    line feed, with ``float()``'s bits; a ValueError where a byte or a cell is
+    outside the grammar, or a row has another length.
+
+    Every mantissa and exponent is read as an int64 by one ``np.fromstring``;
+    a mantissa past int64 is read again as its first 19 digits. Each value is
+    its digits times 10^q in the long double, rounded to a double. A cell
+    whose q lies outside [-307, 289] (a double below about 1e-291 or above
+    about 1e306 in 17 digits), or whose long double lies within its error of
+    a midpoint between two doubles (where a second rounding could differ from
+    one), is read by ``float()`` on its own text; where that is more than a
+    quarter of the block, numpy's strtod reads the whole block instead.
+    """
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        raise ValueError("a carriage return that ends no row")
+    if b" " in block or b"\t" in block or b"\r" in block:
+        raw = np.frombuffer(block, np.uint8)
+        kept = np.flatnonzero((raw != ord(" ")) & (raw != ord("\t")) & (raw != ord("\r")))
+        edge = (raw[kept] == ord(",")) | (raw[kept] == ord("\n"))
+        if (np.diff(kept) > 1)[~edge[:-1] & ~edge[1:]].any():
+            raise ValueError("a space inside a cell")
+        block = block.translate(None, b" \t\r")
+    if not block:
+        return np.empty((0, ncols))
+    fields = block.translate(_TO_FIELDS)
+    if b"x" in fields:
+        raise ValueError("a byte outside the decimal grammar")
+    raw = np.frombuffer(block, np.uint8)
+    chars = np.frombuffer(fields, np.uint8)
+    # every separator, exponent marker and dot, in order
+    marks = np.flatnonzero((chars == ord(",")) | (chars == ord(".")))
+    kind = raw[marks]
+    dot = kind == ord(".")
+    exp = (kind == ord("e")) | (kind == ord("E"))
+    if (dot[:-1] & dot[1:]).any() or (exp[:-1] & (dot[1:] | exp[1:])).any():
+        raise ValueError("a second dot or exponent after an exponent")
+    gap = np.diff(marks, prepend=-1) - 1  # bytes since the previous mark
+    leading_dot = dot & (gap == 0)
+    if leading_dot.any():  # fromstring would read ".-5" as -5
+        after = raw[marks[leading_dot] + 1]
+        if ((after == ord("+")) | (after == ord("-"))).any():
+            raise ValueError("a sign after a dot")
+    cell_end = np.flatnonzero(~(dot | exp))
+    digits = gap[cell_end]
+    if not digits.all() and (block.startswith(b"\n") or b"\n\n" in block):
+        return _decimal_block(b"".join(line + b"\n" for line in block.split(b"\n") if line),
+                              ncols)
+    ends = marks[cell_end]
+    exp_at = np.flatnonzero(exp)
+    # fromstring reads a bare sign as 0, so every mantissa and exponent must
+    # end in a digit, or in a dot after one
+    token_ends = np.concatenate([ends, marks[exp_at]]) if len(exp_at) else ends
+    undigit = raw[token_ends - 1] - ord("0") > 9
+    if undigit.any():
+        dotted = token_ends[undigit]
+        if ((raw[dotted - 1] != ord(".")) | (raw[dotted - 2] - ord("0") > 9)).any():
+            raise ValueError("a sign or dot without a digit")
+    ncells = len(cell_end)
+    row_end = kind[cell_end[ncols - 1::ncols]]
+    if (ncells % ncols or (row_end != ord("\n")).any()
+            or np.count_nonzero(kind == ord("\n")) != len(row_end)):
+        raise ValueError("a row of another length")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a field numpy stops at
+        ints = np.fromstring(fields.replace(b".", b""), dtype=np.int64, sep=",")
+    if len(ints) != ncells + len(exp_at):  # fromstring drops a field it cannot read
+        raise ValueError("a cell that is not a decimal")
+    q = -digits * dot[cell_end - 1]  # minus the digits after the dot
+    m = ints
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    mantissa_end = cell_end  # the mark after each mantissa
+    if len(exp_at):
+        cells = np.searchsorted(cell_end, exp_at)
+        is_exponent = np.zeros(len(ints), dtype=bool)
+        is_exponent[cells + np.arange(len(cells)) + 1] = True
+        m = ints[~is_exponent]
+        q[cells] = np.clip(ints[is_exponent], -1 << 40, 1 << 40) - gap[exp_at] * dot[exp_at - 1]
+        mantissa_end = cell_end.copy()
+        mantissa_end[cells] = exp_at
+    m = np.abs(m).view(np.uint64)  # the sign is applied last, so that -0 is -0.0
+    # fromstring saturates a field past int64; such a mantissa has 19 digits
+    # or more, and is read again from the text as its first 19 digits
+    cut = m >= (1 << 63) - 1
+    if cut.any():
+        before = mantissa_end[cut] - 1
+        dots = np.where(dot[before], marks[before], -1)
+        m[cut], more = _leading_digits(raw, starts[cut], marks[before + 1], dots)
+        q[cut] += more
+    inside = (q >= -307) & (q <= 289)
+    quotient = m.astype(np.longdouble)
+    scale = _POW10[np.abs(np.clip(q, -307, 289))]
+    np.divide(quotient, scale, out=quotient, where=q < 0)
+    np.multiply(quotient, scale, out=quotient, where=q > 0)
+    del scale
+    values = quotient.astype(np.float64)
+    np.negative(values, out=values, where=raw[starts] == ord("-"))
+    # the second rounding can differ from a single one only where a midpoint
+    # between two doubles lies within the long double's error: its dropped
+    # bits are that close to half of the double's last place
+    off = quotient.view(np.int64)[::2] & ((1 << _DROPPED_BITS) - 1)
+    del quotient
+    off -= 1 << (_DROPPED_BITS - 1)
+    np.abs(off, out=off)
+    ulps = np.where((q < -27) | (q > 27), 2, 0)
+    ulps[cut] += _CUT_ULPS
+    redo = np.flatnonzero(~inside | (off <= ulps))
+    if len(redo) > ncells // 4:  # such as subnormals: numpy's strtod costs less on them all
+        values = np.fromstring(block.replace(b"\n", b","), sep=",")
+    elif len(redo):
+        values[redo] = [float(block[s:e]) for s, e in zip(starts[redo].tolist(),
+                                                          ends[redo].tolist())]
+    return values.reshape(-1, ncols)
+
+
+def _leading_digits(raw, starts, ends, dots):
+    """The first 19 significant digits of each mantissa ``raw[starts:ends]``,
+    which holds at least 19, as an integer, and how many digits follow them;
+    ``dots`` holds the byte of each mantissa's dot, or -1. A mantissa whose
+    digits start past its 24th byte is given 2^40 more, which leaves it to
+    ``float()``."""
+    first = starts.copy()
+    for _ in range(24):  # past a sign, leading zeros and a dot
+        lead = raw[first] - np.uint8(ord("1")) > 8
+        if not lead.any():
+            break
+        first += lead
+    dotted = (dots > first) & (dots <= first + 18)  # a dot among the 19 digits
+    column = np.arange(19)
+    skip = column >= np.where(dotted, dots - first, 19)[:, None]  # digits past the dot
+    digits = raw[first[:, None] + column + skip] - np.uint8(ord("0"))
+    leading = digits.astype(np.uint64) @ _DECIMAL_POW10
+    last = first + 18 + dotted
+    more = ends - last - 1 - (dots > last)
+    more[lead] = 1 << 40
+    return leading, more
+
+
+def _decimal_rows(handle, ncols: int) -> np.ndarray:
+    """The rest of a binary file as rows of ``ncols`` decimals, read in blocks
+    cut at line ends; blank rows are skipped."""
+    rows = np.empty((0, ncols))
+    count = 0
+    tail = b""
+    while True:
+        data = handle.read(_BLOCK_BYTES)
+        block = tail + data
+        if data:
+            cut = block.rfind(b"\n") + 1
+            block, tail = block[:cut], block[cut:]
+        elif block:
+            block += b"\n"  # a last row without a line end
+        if block:
+            values = _decimal_block(block, ncols)
+            if count + len(values) > len(rows):
+                # grown in place where realloc can, as loadtxt grows its result
+                rows.resize((max(2 * len(rows), count + len(values)), ncols), refcheck=False)
+            rows[count:count + len(values)] = values
+            count += len(values)
+        if not data:
+            break
+    rows.resize((count, ncols), refcheck=False)
+    return rows
+
+
+def _holds_information_separator(path) -> bool:
+    """Whether a file holds an ASCII information separator (``\\x1c``-``\\x1f``),
+    which ``str.isspace`` and so ``np.loadtxt`` strip from a cell but
+    ``float()`` rejects."""
+    with open(path, "rb") as handle:
+        return any(any(byte in chunk for byte in b"\x1c\x1d\x1e\x1f")
+                   for chunk in iter(lambda: handle.read(1 << 20), b""))
+
+
+def _parse_dataset_fast(path):
+    """Header cells and body values of a dataset, the body parsed in bulk;
+    ``(None, None)`` unless the body is at least 2 rows of finite values,
+    one per header cell.
+
+    Where the long double rounds exactly (``_EXACT_LONGDOUBLE``: x86-64 and
+    aarch64 Linux), the body must be ASCII decimals. A cell is an optional
+    sign, digits with at most one dot, and an optional ``e``/``E`` exponent,
+    padded by spaces or tabs; rows end in LF or CRLF, and blank rows are
+    skipped. Every value has the bits ``float()`` gives its text. Elsewhere
+    ``np.loadtxt`` reads the body, with ``comments=None`` so that a ``#`` row
+    or cell fails here instead of being dropped or truncated. Whatever is
+    declined here (a decode error, quoted cells, ``1_000``, ``nan``, blank
+    rows holding commas) is left to the per-cell scan, which accepts it or
+    reports it.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = next(csv.reader(handle), None)
-            if header is None:
-                return None, None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
-                values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        if _EXACT_LONGDOUBLE:
+            with open(path, "rb") as handle:
+                header = _header_row(handle)
+                if not header:
+                    return None, None
+                values = _decimal_rows(handle, len(header))
+        elif _holds_information_separator(path):
+            return None, None
+        else:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                header = next(csv.reader(handle), None)
+                if header is None:
+                    return None, None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                    values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
     except (ValueError, csv.Error):  # the per-cell scan reports a csv.Error
         return None, None
     if len(values) < 2 or values.shape[1] != len(header) or not np.isfinite(values).all():
@@ -131,8 +361,13 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
     Python's ``float()`` reads as finite: surrounding spaces, quotes, ``1_000``
     and non-ASCII digits included, and ``1e-400`` reads as 0.0. Blank rows
     are skipped; there are no comments, so a ``#`` in a cell is an error.
-    A file the one-pass numpy parse does not take whole is scanned again cell
-    by cell, which decides what is accepted and where an error points.
+    A file of plain ASCII decimals (sign, digits, dot, exponent; LF or CRLF
+    rows) is read in bulk, with ``float()``'s bits: on x86-64 and aarch64
+    Linux in long-double arithmetic, whatever the number of digits, for
+    values from about 1e-291 to 1e306 in magnitude, and by numpy's strtod
+    outside that range; by ``np.loadtxt`` elsewhere. Any other file is
+    scanned again cell by cell, which decides what is accepted and where an
+    error points.
     """
     header, values = _parse_dataset_fast(path)
     if values is None:

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import decimal
+import fractions
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -150,11 +153,16 @@ PARSE_CASES = {
     "blank_rows": ("x1,x2\n0,1\n \t\n,,\n\n2,3\n", [[0, 1], [2, 3]]),
     "blank_rows_then_error": ("x1,x2\n0,1\n  \n,,\n2,3\n4,oops\n", (ev.ParseError, 3, "x2")),
     "bom": ("\ufeffx1,x2\n0,1\n2,3\n4,5\n6,7\n", [[0, 1], [2, 3], [4, 5], [6, 7]]),
+    # str.isspace is true for the ASCII information separators, float() rejects them
+    "file_separator": ("x1,x2\n0,1\n2,1.5\x1c\n4,5.5\n", (ev.ParseError, 2, "x2")),
+    "group_separator": ("x1,x2\n0,1\n2,1.5\x1d\n4,5.5\n", (ev.ParseError, 2, "x2")),
+    "record_separator": ("x1,x2\n0,1\n2,1.5\x1e\n4,5.5\n", (ev.ParseError, 2, "x2")),
+    "unit_separator": ("x1,x2\n0,1\n2,1.5\x1f\n4,5.5\n", (ev.ParseError, 2, "x2")),
 }
 
 
 @pytest.mark.parametrize("text, expected", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_read_dataset_parses_as_float_would(tmp_path, text, expected):
+def test_read_dataset_parses_as_float_would(tmp_path, bulk_reader, text, expected):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     if isinstance(expected, list):
@@ -172,7 +180,8 @@ def test_read_dataset_parses_as_float_would(tmp_path, text, expected):
 
 @pytest.mark.parametrize("text", [DSB_CSV, DSB_CSV.replace("\n", "\r\n"), "\ufeff" + DSB_CSV,
                                   "x1,x2\n0,1\n\n1,3\n 2 ,5"])
-def test_read_dataset_plain_numeric_file_skips_per_cell_scan(tmp_path, monkeypatch, text):
+def test_read_dataset_plain_numeric_file_skips_per_cell_scan(tmp_path, monkeypatch, bulk_reader,
+                                                             text):
     def per_cell_scan(*args, **kwargs):
         raise AssertionError("plain numeric file fell back to the per-cell scan")
 
@@ -191,9 +200,9 @@ FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(st.tuples(FINITE_DOUBLES, FINITE_DOUBLES), min_size=2, max_size=20))
 @example([(-0.0, 5e-324), (sys.float_info.max, -sys.float_info.max),
           (-2.2250738585072014e-308 / 3, 0.1)])
-def test_read_dataset_values_are_bit_exact(tmp_path, rows):
+def test_read_dataset_values_are_bit_exact(tmp_path, bulk_reader, rows):
     expected = np.array(rows)
-    for render in (repr, "%.17g".__mod__):
+    for render in (repr, "%.17g".__mod__, "%.20g".__mod__):
         path = tmp_path / "values.csv"
         cells = [[render(v) for v in row] for row in rows]
         path.write_text("x1,x2\n" + "".join(",".join(row) + "\n" for row in cells))
@@ -201,6 +210,258 @@ def test_read_dataset_values_are_bit_exact(tmp_path, rows):
         got = np.vstack([data.x1, data.x2]).T
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == np.array([[float(c) for c in row] for row in cells]).tobytes()
+
+
+@pytest.fixture(params=["exact", "loadtxt"])
+def bulk_reader(request, monkeypatch):
+    """Run a test on each bulk reader of ``_parse_dataset_fast``: the exact
+    decimal reader, where the long double here has it, and ``np.loadtxt``."""
+    if request.param == "exact" and not io_cli._EXACT_LONGDOUBLE:
+        pytest.skip("the long double of this platform does not round exactly")
+    monkeypatch.setattr(io_cli, "_EXACT_LONGDOUBLE", request.param == "exact")
+    return request.param
+
+
+# Cells at the edges of the exact reader's arithmetic: binary midpoints, 18-20
+# significant digits, powers of ten at and past 10^27, the ends of the double
+# range, signed zeros and an underflow; two quotients whose long double lies on
+# a midpoint between doubles although the decimal does not; mantissas past
+# int64, cut to 19 digits, just above, on and below a midpoint; a mantissa
+# whose digits start past its 24th byte or that has a dot after its 19th digit;
+# powers of ten up to 10^-307 and 10^289, the last of the range where the long
+# double's error is bounded; and four decimals whose long double, with a rounded
+# power of ten, is one unit of its last place from a midpoint, on the wrong side.
+DECIMAL_EDGES = [
+    "9007199254740993", "9007199254740993e0", "4503599627370497.5", "-9007199254740995",
+    "123456789012345678", "1234567890123456789", "12345678901234567890",
+    "0.00012345678901234567", "0.000000000000000000123456789012345678",
+    "1.23456789012345678", "-98765432109876543.21", "00000000000000000000000000012.5",
+    "1e22", "1e-22", "1e27", "1e-27", "1e28", "1e-28", "123456789012345678e-27",
+    "1.5e-26", "1.5e-27", "999999999999999999e9", "7E+27", "7e-0028",
+    "5e-324", "1.7976931348623157e308", "2.2250738585072011e-308", "-0", "-0.0e5", "+0.", "-.0",
+    "1e-400", "9778890976845691e-22", "5663.01396153442829", "+.5", "5.", "5.e3",
+    "9223372036854775806", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "18446744073709551617", "0.10000000000000000555", "-1.6906354288399141339",
+    "1234567890123456789012345678901234567890", "12345678901234567890123456789e-10",
+    "9007199254740993.000000000000000001", "9007199254740992.999999999999999999",
+    "9007199254740993.0000000000000000000", "-4503599627370497.50000000000000000000001",
+    "0.0000000000000000000000001234567890123456789012", "-00000000000000000000000000000001e5",
+    "1.2345678901234567e-13", "-9.8765432109876543e-200", "1e-307", "1e-308", "1e289", "1e290",
+    "2.2250738585072014e-308", "9.9999999999999999e288", "4.9406564584124654e-300",
+    "123456789012345678.9012", "-923456789012345678.91e-5", "12345678901234567.89012e280",
+    "12345678901234567890123.5", "-9223372036854775808.25e-40",
+    "1.625727936367851883e+87", "9.115887180178564500e-60", "9.57415937628230596e+241",
+    "-8.545101716710727614e-150",
+]
+
+
+@pytest.mark.parametrize("straddle", [False, True], ids=["row_at_edge", "row_across_edge"])
+@pytest.mark.parametrize("last_newline", [True, False], ids=["newline", "no_newline"])
+def test_read_dataset_over_many_blocks(tmp_path, monkeypatch, bulk_reader, straddle,
+                                       last_newline):
+    def per_cell_scan(*args, **kwargs):
+        raise AssertionError("a plain file fell back to the per-cell scan")
+
+    monkeypatch.setattr(io_cli, "_parse_cells", per_cell_scan)
+    # 8-byte rows end exactly at each block edge; a 9-byte first row moves them
+    # across it. More than 1 MB in all.
+    digits = np.arange(150_000) // np.array([[1], [10], [100], [1000]]) % 10
+    rows = ["1.25,-2.5"] * straddle + [f"{a}.{b},{c}.{d}" for a, b, c, d in digits.T]
+    assert io_cli._BLOCK_BYTES % 8 == 0
+    text = "x1,x2\n" + "\n".join(rows) + "\n" * last_newline
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    assert path.stat().st_size > 1 << 20
+    data = io_cli.read_dataset(str(path))
+    expected = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert np.vstack([data.x1, data.x2]).T.tobytes() == expected.tobytes()
+
+
+def test_fromstring_saturates_and_drops_a_trailing_separator():
+    # the exact reader's guards rest on both: a field past int64 saturates to
+    # one of its bounds (numpy 2.4 gives the upper one for either sign), which
+    # the reader reads again from the text, and a trailing separator adds no field
+    ints = np.fromstring(b"99999999999999999999,-99999999999999999999,9223372036854775808,+7,",
+                         dtype=np.int64, sep=",")
+    bounds = np.iinfo(np.int64)
+    assert len(ints) == 4
+    assert all(field in (bounds.max, bounds.min) for field in ints[:3].tolist())
+    assert ints[3] == 7
+
+
+@pytest.mark.skipif(not io_cli._EXACT_LONGDOUBLE, reason="no exact block reader here")
+def test_powers_of_ten_are_rounded_once():
+    unit = fractions.Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    for j, power in enumerate(io_cli._POW10):
+        assert abs(fractions.Fraction(*power.as_integer_ratio()) / 10**j - 1) <= unit
+
+
+def midpoint_decimals():
+    """Decimals on and one unit of their last digit beside midpoints between
+    adjacent doubles, at 17 to 40 significant digits, some negated, and each
+    midpoint in full, over the whole range of the exact reader's powers of ten."""
+    rng = np.random.default_rng(5)
+    doubles = rng.uniform(1, 2, 300) * 2.0 ** np.r_[rng.integers(-1000, 1000, 150),
+                                                     rng.integers(-60, 60, 150)]
+    cells = []
+    with decimal.localcontext() as context:
+        context.prec = 1200
+        for x in doubles.tolist():
+            midpoint = (decimal.Decimal(x) + decimal.Decimal(np.nextafter(x, np.inf))) / 2
+            cells.append(str(midpoint))
+            for digits in (17, 19, 20, 25, 40):
+                near = decimal.Decimal(format(midpoint, f".{digits - 1}e"))
+                unit = decimal.Decimal(f"1e{near.adjusted() - digits + 1}")
+                cells += [format(near + step, f".{digits - 1}e") for step in (-unit, 0, unit)]
+            cells.append("-" + cells[-1])
+    return cells
+
+
+@pytest.mark.parametrize("plain_rows", [0, 3], ids=["dense", "sparse"])
+@pytest.mark.parametrize("cells", [DECIMAL_EDGES, midpoint_decimals()], ids=["edges", "midpoints"])
+def test_read_dataset_decimal_edges_have_float_bits(tmp_path, monkeypatch, bulk_reader, cells,
+                                                    plain_rows):
+    # dense, so many cells of a block miss the exact arithmetic that the block
+    # is read again by strtod; sparse, three plain rows after each row, so
+    # that the cells which miss it are read again one by one
+    def per_cell_scan(*args, **kwargs):
+        raise AssertionError("a decimal fell back to the per-cell scan")
+
+    monkeypatch.setattr(io_cli, "_parse_cells", per_cell_scan)
+    path = tmp_path / "edges.csv"
+    path.write_text("x1,x2\n" + "".join(f"{cell},{cell}\n" + "0.5,-0.25\n" * plain_rows
+                                        for cell in cells))
+    data = io_cli.read_dataset(str(path))
+    expected = np.array([float(cell) for cell in cells])
+    step = plain_rows + 1
+    assert data.x1.ravel()[::step].tobytes() == expected.tobytes()
+    assert data.x2.ravel()[::step].tobytes() == expected.tobytes()
+
+
+def reference_read(path, ncols):
+    """The README grammar by ``csv`` and ``float()`` alone: the values, or the
+    type, row and column of the error ``read_dataset(path, 1, ncols - 1)`` raises."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error):
+        return ev.ValidationError, None, None
+    if not rows:
+        return ev.ValidationError, None, None
+    header = [name.strip() for name in rows[0]]
+    if len(header) != ncols:
+        return ev.DimensionMismatchError, None, None
+    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
+    if len(body) < 2:
+        return ev.ValidationError, None, None
+    values = []
+    for i, row in enumerate(body, start=1):
+        if len(row) != ncols:
+            return ev.DimensionMismatchError, i, None
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = float("nan")
+            if not np.isfinite(value):
+                return ev.ParseError, i, header[j]
+            values.append(value)
+    return np.array(values).reshape(-1, ncols)
+
+
+NUMBER_CELLS = st.one_of(
+    FINITE_DOUBLES.map(repr),
+    FINITE_DOUBLES.map("%.17g".__mod__),
+    FINITE_DOUBLES.map("%.17E".__mod__),
+    FINITE_DOUBLES.map("%.21g".__mod__),
+    st.integers(-10**21, 10**21).map(str),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=22),
+              st.sampled_from(["", ".", ".5", "0."]),
+              st.sampled_from(["", "e5", "E-05", "e+330", "e-330", "e-28", "e27"])).map("".join),
+)
+HOSTILE_CELLS = st.sampled_from([
+    "", " ", "\t", "1.", ".5", "-.5", "+1", "1e", "e5", ".", "-", "+.", "1.2.3", ".-5", "1-2",
+    "1e5.5", "1e5e5", "1_000", "١", "1\xa0", "\xa02", " 2", "nan", "NaN", "-inf",
+    "Infinity", "1e400", "1e-400", "-0", '"1.5"', '"1,5"', '" 2"', "#1", "0x10", "1 2",
+    " 7 ", "\t8", "9\x1c", "\x1f3", "\x0b4", "5\x0c", "9007199254740993",
+    "99999999999999999999", "-99999999999999999999",
+])
+CELL = st.one_of(
+    HOSTILE_CELLS,
+    st.tuples(st.sampled_from([" ", "\t", ""]), NUMBER_CELLS, st.sampled_from([" ", "\t", ""]))
+    .map("".join),
+    st.text("0123456789.eE+- \t", max_size=6),
+)
+ODD_ROW = st.one_of(
+    st.sampled_from(["", " ", "\t", ",,", ",,,"]),
+    st.lists(NUMBER_CELLS, min_size=2, max_size=2).map(",".join),
+    st.lists(NUMBER_CELLS, min_size=4, max_size=4).map(",".join),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes for a 3-column dataset: rows of numbers, where one cell and
+    one row may be hostile, under a varied header, line end, byte-order mark
+    and last line; now and then with a byte that is not UTF-8."""
+    header = draw(st.sampled_from(["x1,x2_1,x2_2", " x1 ,x2_1,\"x2_2\"", "x1,x2"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    rows = draw(st.lists(st.lists(NUMBER_CELLS, min_size=3, max_size=3), max_size=6))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = draw(CELL)
+    lines = [header, *map(",".join, rows)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(ODD_ROW))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x00"])) + data[at:]
+    return data
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,6.5\x1c\n")
+@example(b"\xef\xbb\xbfx1,x2_1,x2_2\r\n1.,.5,-0\r\n \r\n+4 ,\t5e-3,6\r\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,.-6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,-\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,-.,6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,1e+,6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,+e5,6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,1.2.3\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,1 2\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\r4,5,6\n")
+@example(b"x1,x2_1,x2_2\n1,2\r,3\n4,5,6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4\n5,6\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,1e5e5\n")
+@example(b"x1,x2_1,x2_2\n1,2,3\n4,5,1e5.5\n")
+def test_read_dataset_matches_the_reference_reader(tmp_path, capsys, bulk_reader, data):
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    expected = reference_read(path, 3)
+    if isinstance(expected, np.ndarray):
+        got = io_cli.read_dataset(str(path), 1, 2)
+        assert np.vstack([got.x1, got.x2]).T.tobytes() == expected.tobytes()
+    else:
+        error, row, column = expected
+        with pytest.raises(ev.ValidationError) as excinfo:
+            io_cli.read_dataset(str(path), 1, 2)
+        assert type(excinfo.value) is error
+        if error is ev.ParseError:
+            assert (excinfo.value.row, excinfo.value.column) == (row, column)
+        elif row is not None:
+            assert f": row {row} has " in str(excinfo.value)
+    with warnings.catch_warnings():
+        # the fit may warn on degenerate or overflowing data; the gate is its exit code
+        warnings.simplefilter("ignore")
+        code, out, _ = run_cli(capsys, ["fit", "--input", str(path), "--p", "1", "--r", "2",
+                                        "--no-intercept"])
+    assert code in (0, 1, 2)
+    assert (code == 0) == (out != "")
+    if not isinstance(expected, np.ndarray):
+        assert code == 1
 
 
 @pytest.mark.parametrize("text, message", [
