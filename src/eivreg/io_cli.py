@@ -15,7 +15,8 @@ import hashlib
 import io
 import itertools
 import json
-import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import asdict
@@ -61,11 +62,80 @@ LEGACY_MEANS_NOTE = (
 # dataset and matrix files
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path):
+class _InputFile:
+    """A file the command reads by path, opened once per pass over it. Its
+    SHA-256 is taken from the bytes the passes read; a file that cannot be
+    read again (a pipe) is read whole at once and kept for the later passes."""
+
+    def __init__(self, path):
+        self.path = path
+        self._digest = hashlib.sha256()
+        self._hashed = 0  # bytes from the start that the digest holds
+        self._complete = False
+        self._kept = None
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb") as handle:
+                self._kept = handle.read()
+            self._digest.update(self._kept)
+            self._complete = True
+
+    def open(self):
+        """A binary stream of the file from its start."""
+        if self._kept is not None:
+            return io.BytesIO(self._kept)
+        return io.BufferedReader(_HashingReader(self, open(self.path, "rb", buffering=0)))
+
+    def checksum(self) -> str:
+        """``sha256:`` and the hex digest of the whole file, which is read to
+        its end here only where no pass has."""
+        if not self._complete:
+            with self.open() as handle:
+                while handle.read(1 << 16):
+                    pass
+        return "sha256:" + self._digest.hexdigest()
+
+    def _read(self, offset: int, data) -> None:
+        """Hash the bytes past ``_hashed`` of ``data``, read at ``offset``;
+        an empty read at ``_hashed`` is the end of the file."""
+        if not data:
+            self._complete |= offset == self._hashed
+        elif offset + len(data) > self._hashed:
+            self._digest.update(data[self._hashed - offset:])
+            self._hashed = offset + len(data)
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that shows each read to its ``_InputFile``."""
+
+    def __init__(self, source: _InputFile, raw):
+        self._source = source
+        self._raw = raw
+        self._offset = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._source._read(self._offset, memoryview(buffer)[:count])
+        self._offset += count
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _input_file(path) -> _InputFile:
+    return path if isinstance(path, _InputFile) else _InputFile(path)
+
+
+def _csv_rows(source: _InputFile):
     """Rows of a UTF-8 CSV file, a leading byte-order mark dropped; a file
     that is not UTF-8 fails with a ``ValidationError`` naming it."""
+    path = source.path
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
+        with io.TextIOWrapper(source.open(), encoding="utf-8-sig", newline="") as handle:
             yield from csv.reader(handle)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -277,6 +347,214 @@ def _leading_digits(raw, starts, ends, dots):
     return leading, more
 
 
+# The float writer prints each double as float.__repr__ does: the fewest
+# significant digits (at most 17) that read back as it, the nearest of them
+# where there is a choice, in fixed notation from 1e-4 up to 1e16 and with an
+# exponent elsewhere. For a double x = m 2^q (m its 53-bit significand) of
+# decimal exponent e, S = |x| 10^(16-e) is a real in [1e16, 1e17), and the
+# decimals that read back as x are those within h = S / (2m) of S, in units of
+# S's last digit. The long double holds S to within one rounding, u S with
+# u = 2^-(nmant + 1) (S < 2^57: at most 1/128 on x87, 1/256 or less in most
+# of the range), or 3 u S where 10^|16-e| is itself rounded (|16-e| > 27);
+# float64 adds below 2^-40 to each distance. A digit count, a rounding
+# direction or a bound that such an error could flip is left to float.__repr__.
+_REPR_ROUNDING = 2.0 ** -(np.finfo(np.longdouble).nmant + 1)
+_TEN = _DECIMAL_POW10[::-1]  # 10^j at j
+# a biased exponent of 0 (zeros, subnormals) or 0x7FF (infinities, NaN), less
+# one in uint64, is at least this
+_SPECIAL_EXPONENT = np.uint64(0x7FE)
+# The writer lays each value out in little-endian words: a line feed, the
+# sign and the leading digit (or the "0" before a fraction) | digits 1-8 |
+# digits 9-16 before the dot | the dot, up to 3 zeros and the leading digit |
+# digits 1-8 | digits 9-16 after it | the exponent; a byte left NUL is no
+# character. A chunk leaves out the words none of its values uses, and fits
+# the first four in one where no value has a second digit before its dot.
+# A chunk's float64 arrays are 64 kB: at 2^14 values, 128 kB arrays were
+# mapped and faulted in anew chunk after chunk in a fresh process (7,326
+# minor faults writing a 2*10^4-row fit report, against 2,623).
+_REPR_CHUNK = 1 << 13
+# at j, the mask that keeps the first j bytes of a little-endian word
+_FIRST_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+
+
+def _ascii8(value: np.ndarray) -> np.ndarray:
+    """The eight ASCII digits of each ``value`` below 10^8 as a little-endian
+    word, the leading one in its first byte: the halves go to 32-bit lanes,
+    their hundreds to 16-bit lanes and their tens to bytes, each split by a
+    multiply and shift that divides exactly in that range."""
+    u = np.uint64
+    high = value // u(10**4)
+    x = high | ((value - high * u(10**4)) << u(32))
+    y = ((x * u(10486)) >> u(20)) & u(0x0000007F0000007F)
+    x = y | ((x - u(100) * y) << u(16))
+    y = ((x * u(103)) >> u(10)) & u(0x000F000F000F000F)
+    return (y | ((x - u(10) * y) << u(8))) + u(0x3030303030303030)
+
+
+def _scaled(magnitude: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """magnitude * 10^(16 - exponent) in the long double, one rounding of
+    the exact product or quotient (as ``_decimal_block`` forms m 10^q)."""
+    k = 16 - exponent
+    scale = _POW10[np.minimum(np.abs(k), 307)]
+    scaled = np.multiply(magnitude, scale, dtype=np.longdouble)
+    down = np.flatnonzero(k < 0)
+    if len(down):
+        scaled[down] = np.divide(magnitude[down], scale[down], dtype=np.longdouble)
+    return scaled
+
+
+def _shortest_digits(values: np.ndarray):
+    """The 17 digits (trailing zeros included), decimal exponent and count
+    of significant digits of ``float.__repr__`` for each of a contiguous
+    float64 array, and where they are left to ``repr`` itself; see the notes
+    above ``_REPR_ROUNDING``."""
+    u = np.uint64
+    bits = values.view(u)
+    trailing = bits & u((1 << 52) - 1)  # the significand less its leading 1
+    special = ((bits >> u(52)) & u(0x7FF)) - u(1) >= _SPECIAL_EXPONENT
+    magnitude = np.abs(values)
+    np.copyto(magnitude, 1.0, where=special)
+    exponent = np.log10(magnitude)
+    exponent = np.floor(exponent, out=exponent).astype(np.int64)
+    s = _scaled(magnitude, exponent)
+    whole = s.astype(u)
+    frac = (s - whole).astype(np.float64)
+    del s
+    k = np.abs(16 - exponent)
+    half = whole.astype(np.float64)
+    error = half * (_REPR_ROUNDING * (1 + 2 * (k > 27)))
+    error += 2.0**-40
+    half /= (trailing | u(1 << 52)).astype(np.float64)
+    half *= 0.5
+    # a power of two has a narrower gap below it than above; a rounded log10
+    # can miss the exponent next to a power of ten
+    fallback = special | (trailing == 0) | (k > 307) | (whole < _TEN[16]) | (whole >= _TEN[17])
+
+    # 17 digits round S to an integer, 16 to a multiple of 10, which must be
+    # within h of S; 15 or fewer are rarer and found below. Their digits are
+    # the one multiple of 100 within h (< 12) of S, so the test of the
+    # distance to the nearest multiple of 100 settles them too, and no two tie
+    tens = whole // u(10)
+    lo1 = (whole - tens * u(10)) + frac  # S less the multiple of 10 below it
+    lo2 = (whole - whole // u(100) * u(100)) + frac
+    near1 = np.minimum(lo1, 10 - lo1)
+    near2 = np.minimum(lo2, 100 - lo2)
+    sixteen = near1 < half
+    # within the error of h, or of a tie between two multiples of 10 or (for
+    # 17 digits) two integers
+    unsure = np.minimum(np.abs(near1 - half), np.abs(near2 - half))
+    np.minimum(unsure, np.abs(lo1 - 5), out=unsure)
+    np.minimum(unsure, np.abs(frac - 0.5) + sixteen, out=unsure)
+    fallback |= unsure <= error
+    up1 = lo1 > 5
+    digits = whole + (frac > 0.5)
+    digits += sixteen * ((tens + up1) * u(10) - digits)  # modulo 2^64
+    level = sixteen.astype(np.int64)  # trailing zeros of the digits
+    shorter = np.flatnonzero(near2 < half)
+    if len(shorter):
+        level[shorter], digits[shorter] = _short_digits(whole[shorter], frac[shorter],
+                                                        half[shorter])
+    # where log10 rounds down just below a power of ten, S rounds up to 1e17
+    fallback |= digits == _TEN[17]
+    return digits, exponent, 17 - level, fallback
+
+
+def _short_digits(whole, frac, half):
+    """Trailing zeros and digits of the values whose S lies within h of a
+    multiple of 100: the most zeros j for which the multiple of 10^j nearest
+    S is within h of it, and that multiple."""
+    level = np.full(len(whole), 2)
+    more = np.arange(len(whole))
+    for j in range(3, 17):
+        rest = whole[more] % _TEN[j]
+        near = np.minimum(rest + frac[more], (_TEN[j] - rest) - frac[more])
+        more = more[near < half[more]]
+        if not len(more):
+            break
+        level[more] = j
+    rest = whole % _TEN[level]
+    up = (_TEN[level] - rest) - frac < rest + frac
+    return level, whole - rest + up * _TEN[level]
+
+
+def _repr_rows(values, digits, exponent, count, fallback) -> bytes:
+    """Lay out ``count`` significant digits of the 17 in ``digits`` with the
+    sign, dot and exponent ``float.__repr__`` gives them, each value after a
+    line feed; the values at ``fallback`` are written by ``repr``."""
+    u = np.uint64
+    fixed = (exponent >= -4) & (exponent <= 15)
+    small = fixed & (exponent < 0)
+    # the last digit before the dot (-1: none), and the end of those after it,
+    # which in fixed notation is at least one "0"
+    before = exponent * fixed
+    before -= small * (before + 1)
+    end = count + fixed * np.maximum(before + 2 - count, 0)
+    high = digits // u(10**8)
+    lead = high // u(10**8)
+    mid = _ascii8(high - lead * u(10**8))
+    low = _ascii8(digits - high * u(10**8))
+    lead += u(ord("0"))
+    head = (u(ord("\n")) | (values.view(u) >> u(63)) * u(ord("-") << 8)
+            | (lead + small * (u(ord("0")) - lead)) << u(16))
+    dot = (u(ord(".")) * (fixed | (count > 1))
+           | (u(0x303030) & _FIRST_BYTES[(-1 - exponent) * small]) << u(8)
+           | (lead << u(32)) * small)
+    mid &= _FIRST_BYTES[np.clip(end - 1, 0, 8)]
+    low &= _FIRST_BYTES[np.clip(end - 9, 0, 8)]
+    top = int(before.max())
+    if top < 1:  # no value has a second digit before its dot
+        words = [head | dot << u(24), mid, low]
+    else:
+        mid_before = _FIRST_BYTES[np.clip(before, 0, 8)]
+        low_before = _FIRST_BYTES[np.clip(before - 8, 0, 8)]
+        words = [head, mid & mid_before, low & low_before, dot, mid & ~mid_before,
+                 low & ~low_before]
+        if top < 9:
+            del words[2]
+    sci = np.flatnonzero(~fixed)
+    if len(sci):  # "e", the sign, and two or three digits
+        size = np.abs(exponent[sci]).view(u)
+        hundreds = size // u(100)
+        tens = size // u(10)
+        words.append(np.zeros(len(values), u))
+        words[-1][sci] = (u(0x2B65) + u(0x200) * (exponent[sci] < 0)
+                          | (hundreds + u(ord("0"))) * (hundreds > 0) << u(16)
+                          | (tens - hundreds * u(10) + u(ord("0"))) << u(24)
+                          | (size - tens * u(10) + u(ord("0"))) << u(32))
+    redo = np.flatnonzero(fallback)
+    texts = list(map(repr, values[redo].tolist()))
+    longest = max(map(len, texts), default=0)
+    words += [np.zeros(len(values), u)] * (longest // 8 + 1 - len(words))
+    # a bytearray under the rows saves bytes.translate a copy of them
+    buffer = bytearray(8 * len(words) * len(values))
+    rows = np.stack(words, axis=1, out=np.frombuffer(buffer, u).reshape(len(values), -1))
+    if len(redo):
+        width = 8 * len(words)
+        lines = "".join(["\n" + text.ljust(width - 1, "\0") for text in texts])
+        rows.view(np.uint8)[redo] = np.frombuffer(lines.encode(), np.uint8).reshape(-1, width)
+    del rows
+    return buffer.translate(None, b"\0")
+
+
+def _float_lines(values: np.ndarray) -> str:
+    """``"\\n".join(map(float.__repr__, values))`` for a float64 array,
+    formed in chunks of ``_REPR_CHUNK`` values."""
+    if not _EXACT_LONGDOUBLE:
+        return "\n".join(map(float.__repr__, values.tolist()))
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    chunks = (values[start:start + _REPR_CHUNK] for start in range(0, len(values), _REPR_CHUNK))
+    lines = b"".join(_repr_rows(chunk, *_shortest_digits(chunk)) for chunk in chunks)
+    return str(memoryview(lines)[1:], "ascii")  # decoded past the first line feed
+
+
+def _float_items(items):
+    """A list of floats (float subclasses included) as a float64 array; None
+    when it is empty or holds anything else."""
+    if not items or not all(issubclass(kind, float) for kind in set(map(type, items))):
+        return None
+    return np.array(items, dtype=np.float64)
+
+
 def _decimal_rows(handle, ncols: int) -> np.ndarray:
     """The rest of a binary file as rows of ``ncols`` decimals, read in blocks
     cut at line ends; blank rows are skipped."""
@@ -304,16 +582,16 @@ def _decimal_rows(handle, ncols: int) -> np.ndarray:
     return rows
 
 
-def _holds_information_separator(path) -> bool:
+def _holds_information_separator(source: _InputFile) -> bool:
     """Whether a file holds an ASCII information separator (``\\x1c``-``\\x1f``),
     which ``str.isspace`` and so ``np.loadtxt`` strip from a cell but
     ``float()`` rejects."""
-    with open(path, "rb") as handle:
+    with source.open() as handle:
         return any(any(byte in chunk for byte in b"\x1c\x1d\x1e\x1f")
                    for chunk in iter(lambda: handle.read(1 << 20), b""))
 
 
-def _parse_dataset_fast(path):
+def _parse_dataset_fast(source: _InputFile):
     """Header cells and body values of a dataset, the body parsed in bulk;
     ``(None, None)`` unless the body is at least 2 rows of finite values,
     one per header cell.
@@ -331,15 +609,15 @@ def _parse_dataset_fast(path):
     """
     try:
         if _EXACT_LONGDOUBLE:
-            with open(path, "rb") as handle:
+            with source.open() as handle:
                 header = _header_row(handle)
                 if not header:
                     return None, None
                 values = _decimal_rows(handle, len(header))
-        elif _holds_information_separator(path):
+        elif _holds_information_separator(source):
             return None, None
         else:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
+            with io.TextIOWrapper(source.open(), encoding="utf-8-sig", newline="") as handle:
                 header = next(csv.reader(handle), None)
                 if header is None:
                     return None, None
@@ -367,11 +645,14 @@ def read_dataset(path, p: int | None = None, r: int | None = None) -> ObservedDa
     values from about 1e-291 to 1e306 in magnitude, and by numpy's strtod
     outside that range; by ``np.loadtxt`` elsewhere. Any other file is
     scanned again cell by cell, which decides what is accepted and where an
-    error points.
+    error points. ``path`` may also be a command's ``_InputFile``, whose
+    checksum then comes from the bytes read here.
     """
-    header, values = _parse_dataset_fast(path)
+    source = _input_file(path)
+    path = source.path
+    header, values = _parse_dataset_fast(source)
     if values is None:
-        reader = _csv_rows(path)
+        reader = _csv_rows(source)
         try:
             header = next(reader)
         except StopIteration:
@@ -414,7 +695,7 @@ def read_sigma0(path, size: int) -> np.ndarray:
     Symmetry is enforced by averaging with the transpose; asymmetry beyond
     1e-8 relative fails.
     """
-    rows = [row for row in _csv_rows(path) if any(cell.strip() for cell in row)]
+    rows = [row for row in _csv_rows(_InputFile(path)) if any(cell.strip() for cell in row)]
     if len(rows) != size or any(len(row) != size for row in rows):
         raise DimensionMismatchError(
             f"{path}: covariance shape must be {size}x{size} to match p + r"
@@ -423,14 +704,6 @@ def read_sigma0(path, size: int) -> np.ndarray:
     if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * float(np.max(np.abs(matrix))):
         raise ValidationError(f"{path}: covariance shape is asymmetric beyond 1e-8 relative")
     return (matrix + matrix.T) / 2.0
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +731,7 @@ def build_fit_report(
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "input_checksum": _sha256(input_path),
+        "input_checksum": _input_file(input_path).checksum(),
         "model": {
             "kind": result.kind.value,
             "p": result.b_hat.shape[1],
@@ -502,8 +775,9 @@ def build_fit_report(
 def report_to_json(report: dict) -> str:
     """What ``json.dumps`` writes for ``report`` with ``indent=2``, and a newline, byte for byte.
 
-    Each list of finite floats is written with one join instead of the
-    encoder's per-element loop; json writes every other value and every key.
+    Each list of finite floats is written by the vectorized float writer
+    (``_float_lines``) instead of the encoder's per-element loop; json writes
+    every other value and every key.
     """
     parts = []
     _json_parts(report, "", parts)
@@ -524,13 +798,10 @@ def _json_parts(value, indent: str, parts: list) -> None:
             _json_parts(item, inner, parts)
         parts += ("\n", indent, "}")
         return
-    try:  # float.__repr__ is how json writes a finite float
-        floats = (",\n" + inner).join(map(float.__repr__, value))
-    except TypeError:  # an int, bool, str, None or container item
-        floats = None
-    if floats is not None and all(map(math.isfinite, value)):
-        parts += ("[\n", inner, floats)
-    else:
+    floats = _float_items(value)
+    if floats is not None and np.isfinite(floats).all():  # json writes float.__repr__
+        parts += ("[\n", inner, _float_lines(floats).replace("\n", ",\n" + inner))
+    else:  # an int, bool, str, None, container or non-finite item
         for i, item in enumerate(value):
             parts += (",\n" if i else "[\n", inner)
             _json_parts(item, inner, parts)
@@ -557,11 +828,11 @@ def _float_list_csv(prefix: str, values):
     in one join; None when the key needs quoting or an item is not a float."""
     if any(char in prefix for char in ',"\r\n'):
         return None
-    try:
-        return "".join(map("{}.{},{}\n".format, itertools.repeat(prefix), itertools.count(),
-                           map(float.__repr__, values)))
-    except TypeError:  # an int, bool, str or list item, which csv writes its own way
+    floats = _float_items(values)
+    if floats is None:  # an int, bool, str or list item, which csv writes its own way
         return None
+    return "".join(map("{}.{},{}\n".format, itertools.repeat(prefix), itertools.count(),
+                       _float_lines(floats).split("\n")))
 
 
 def report_to_csv(report: dict) -> str:
@@ -575,13 +846,10 @@ def report_to_csv(report: dict) -> str:
 
 def consistency_table(report: ConsistencyReport) -> str:
     """Tabular view of a consistency sweep: one CSV row per sample size."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "b_error_median", "u1_rmse_corrected", "u1_rmse_legacy"])
-    for n, *errors in zip(report.n_grid, report.b_error_median, report.u1_rmse_corrected,
-                          report.u1_rmse_legacy):
-        writer.writerow([n, *map(repr, errors)])
-    return buffer.getvalue()
+    errors = _float_lines(np.array([report.b_error_median, report.u1_rmse_corrected,
+                                    report.u1_rmse_legacy]).T.ravel()).split("\n")
+    return "n,b_error_median,u1_rmse_corrected,u1_rmse_legacy\n" + "".join(
+        map("{},{},{},{}\n".format, report.n_grid, errors[0::3], errors[1::3], errors[2::3]))
 
 
 def consistency_summary(report: ConsistencyReport, extra: dict) -> str:
@@ -728,14 +996,15 @@ def _write_output(text: str, output) -> None:
 
 
 def _cmd_fit(args) -> int:
-    data = read_dataset(args.input, args.p, args.r)
+    source = _InputFile(args.input)
+    data = read_dataset(source, args.p, args.r)
     kind = _kind_from_args(args)
     sigma0 = read_sigma0(args.sigma0, data.p + data.r) if args.sigma0 else None
     spec = ModelSpec(kind=kind, sigma0=sigma0)
     result = fit(data, spec)
     oracle_report = perturbation_probe(result) if args.verify else None
     legacy = legacy_means(data, spec, result) if args.legacy_means else None
-    report = build_fit_report(result, args.input, args.emit_means, legacy, oracle_report)
+    report = build_fit_report(result, source, args.emit_means, legacy, oracle_report)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     _write_output(text, args.output)
     return 3 if oracle_report is not None and not oracle_report.passed else 0

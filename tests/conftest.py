@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from eivreg import io_cli
+
 
 @pytest.fixture
 def dataset_csv(tmp_path):
@@ -15,3 +17,13 @@ def dataset_csv(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture(params=["exact", "repr"])
+def float_writer(request, monkeypatch):
+    """Run a test on the report's long-double float writer, where the long
+    double here rounds exactly, and with every float left to ``float.__repr__``."""
+    if request.param == "exact" and not io_cli._EXACT_LONGDOUBLE:
+        pytest.skip("the long double of this platform does not round exactly")
+    monkeypatch.setattr(io_cli, "_EXACT_LONGDOUBLE", request.param == "exact")
+    return request.param

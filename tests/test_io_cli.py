@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import decimal
 import fractions
+import hashlib
 import io
 import json
+import os
 import sys
 import warnings
 
@@ -546,10 +548,28 @@ def matrix_payloads(draw):
     return {"rows": rows, "cols": cols, "data": data}
 
 
+@st.composite
+def long_float_lists(draw):
+    """A list of floats longer than one chunk of the float writer, with a few
+    special values; one NaN sends it down json's own path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 10.0 ** draw(st.integers(-5, 20)), io_cli._REPR_CHUNK + 3)
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(
+            [-0.0, 5e-324, 1e16, 1e-7, float("nan"), sys.float_info.max]))
+    return values.tolist()
+
+
+# the items json writes its own way, and np.float64, which it writes as a float
+MIXED_LISTS = st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                                 st.floats().map(np.float64)), max_size=5)
+
 REPORTS = st.recursive(
     st.dictionaries(st.sampled_from(["data", "u1_hat", "note", "n"]),
                     st.one_of(matrix_payloads(), st.text(max_size=5), st.integers(),
-                              st.lists(st.lists(st.floats(), max_size=3), max_size=3))),
+                              st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+                              long_float_lists(), MIXED_LISTS,
+                              st.lists(st.floats().map(np.float64), max_size=3))),
     lambda children: st.dictionaries(
         st.sampled_from(["means", "estimates", "legacy_means", "b_hat"]),
         st.one_of(children, matrix_payloads()), max_size=3),
@@ -557,7 +577,8 @@ REPORTS = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(REPORTS)
 @example({"means": {"u1_hat": {"rows": 1, "cols": 1, "data": [[1e16]]}}})
 @example({"a": {"rows": 2, "cols": 0, "data": [[], []]}, "b": {"data": []}})
@@ -566,7 +587,7 @@ REPORTS = st.recursive(
 @example({1: 0.5, 2.5: [1.5], True: {}, False: [], None: "x", float("nan"): [float("nan")]})
 @example({"mixed": [0.5, 1, 2.0, True, None], "t": (1.5, -0.0), "i": [1, 2]})
 @example({"e": [[], {}, [[], [{}]]], "d": {"x": {}, "y": {"z": []}}, "l": [[[0.5]], []]})
-def test_report_to_json_is_json_dumps(report):
+def test_report_to_json_is_json_dumps(float_writer, report):
     assert io_cli.report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
@@ -594,7 +615,8 @@ def report_to_csv_per_cell(report):
     return buffer.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(REPORTS)
 @example({"means": {"u1_hat": {"rows": 1, "cols": 3, "data": [[-0.0, 5e-324, 1e16]]}}})
 @example({"a": {"rows": 2, "cols": 0, "data": [[], []]}, "b": {"data": []}})
@@ -602,7 +624,7 @@ def report_to_csv_per_cell(report):
           "alpha_hat": [1.5, -0.0], "n_grid": [0.5, 2]})
 @example({"a,b": {"data": [[0.5, float("nan")]]}, 'q"': {"data": [[float("-inf")]]},
           "l\n": {"data": [[sys.float_info.max, -sys.float_info.max]]}})
-def test_report_to_csv_matches_the_per_cell_writer(report):
+def test_report_to_csv_matches_the_per_cell_writer(float_writer, report):
     assert io_cli.report_to_csv(report) == report_to_csv_per_cell(report)
 
 
@@ -784,6 +806,51 @@ def test_cli_missing_input_exits_1(capsys):
     code, out, err = run_cli(capsys, ["fit", "--input", "no-such-file.csv", "--intercept"])
     assert code == 1
     assert out == ""
+
+
+QUOTED_CSV = DSB_CSV.replace("1,3", '1,"3"')  # a file the bulk parse declines
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+@pytest.mark.parametrize("text", [DSB_CSV, QUOTED_CSV], ids=["bulk", "per_cell"])
+def test_cli_fit_reads_a_pipe(tmp_path, capsys, bulk_reader, text):
+    """A pipe is read once and kept: its checksum is that of its bytes, and a
+    file the bulk parse declines is scanned cell by cell from what was kept."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as handle:
+        handle.write(text.encode())
+    try:
+        code, out, err = run_cli(capsys, ["fit", "--input", f"/dev/fd/{read_end}",
+                                          "--intercept"])
+    finally:
+        os.close(read_end)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["input_checksum"] == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    _, from_file, _ = run_cli(capsys, ["fit", "--input", write(tmp_path, "d.csv", text),
+                                       "--intercept"])
+    assert report == json.loads(from_file)
+
+
+@pytest.mark.parametrize("quoted_row", [None, 2, 3000], ids=["bulk", "first_block", "late_block"])
+def test_a_regular_input_is_hashed_as_it_is_read(tmp_path, monkeypatch, bulk_reader, quoted_row):
+    """A regular file is not kept in memory, and the reads of ``read_dataset``
+    (the bulk parse, and the per-cell scan where that declines the file)
+    leave the digest of the whole file, so the report reads it no more."""
+    monkeypatch.setattr(io_cli, "_BLOCK_BYTES", 1 << 10)
+    rows = [f"{i},{2 * i + 0.5}" for i in range(4000)]
+    if quoted_row is not None:
+        rows[quoted_row] = f'{quoted_row},"1.5"'
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+    source = io_cli._InputFile(str(path))
+    data = io_cli.read_dataset(source)
+    assert data.n == 4000 and source._kept is None
+    monkeypatch.setattr(source, "open", None)  # a third pass would fail
+    digest = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    assert source.checksum() == digest
+    assert io_cli.build_fit_report(ev.fit(data, ev.ModelSpec(kind=INTERCEPT)),
+                                   source)["input_checksum"] == digest
 
 
 def test_cli_unidentifiable_exits_2(tmp_path, capsys):
