@@ -188,10 +188,18 @@ def glse_residual(data: ObservedData, alpha, b, sigma0=None) -> np.ndarray:
 
 def _spread_factor(b: np.ndarray, sigma0) -> np.ndarray:
     """Lower Cholesky factor of S = C sigma0 C', C = [-B I] (which annihilates
-    the graph basis [I; B]), or ``NotPositiveDefiniteError``."""
+    the graph basis [I; B]), or ``NotPositiveDefiniteError``. Where S
+    overflows, the factor is that of C (sigma0 / 4^k) C' times 2^k, with
+    sigma0 / 4^k of order 1 (|B| is at most about ``G11_CONDITION_LIMIT``)."""
     c = np.hstack([-b, np.eye(b.shape[0])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = c @ c.T if sigma0 is None else c @ sigma0 @ c.T
+    k = 0
+    if not np.isfinite(spread).all():
+        k = int(np.frexp(np.max(np.abs(sigma0)))[1]) // 2
+        spread = c @ np.ldexp(sigma0, -2 * k) @ c.T
     try:
-        return np.linalg.cholesky(c @ c.T if sigma0 is None else c @ sigma0 @ c.T)
+        return np.ldexp(np.linalg.cholesky(spread), k)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("C sigma0 C' is not positive definite") from exc
 
@@ -277,9 +285,14 @@ def _assemble(data, kind, es, sigma0=None) -> FitResult:
         u2 += alpha_hat[:, None]
         return _gram(block[data.p :])
 
-    gram = sum(_blockwise(data, kind, residual_gram))
-    factor = _spread_factor(b_hat, sigma0)  # H is exactly symmetric: (R^{-1} H)' = H R^{-T}
-    objective = float(np.trace(_forward(factor, _forward(factor, gram).T.copy())))
+    factor = _spread_factor(b_hat, sigma0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(_blockwise(data, kind, residual_gram))
+        # H is exactly symmetric: (R^{-1} H)' = H R^{-T}
+        objective = float(np.trace(_forward(factor, _forward(factor, gram).T.copy())))
+    if not np.isfinite(objective):
+        raise ValidationError("the objective overflows in double precision; "
+                              "rescale the data or sigma0")
     return FitResult(
         kind=kind,
         b_hat=b_hat,

@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 import warnings
@@ -33,7 +34,7 @@ from .exceptions import (
     UnidentifiableError,
     ValidationError,
 )
-from .model_core import ModelKind, ModelSpec, ObservedData, _require_count
+from .model_core import ModelKind, ModelSpec, ObservedData, _require_count, _symmetrized
 from .oracle import perturbation_probe
 from .simulate import (
     ConsistencyReport,
@@ -143,12 +144,18 @@ def _csv_rows(source: _InputFile):
         raise ValidationError(f"{path}: not readable as CSV ({exc})") from None
 
 
+# What float() strips from a cell's ends: whitespace but the ASCII information
+# separators (\x1c-\x1f), which str.strip also strips
+_FLOAT_PADDING = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
+
+
 def _parse_cells(path, rows, columns) -> np.ndarray:
     """Parse rows of CSV cells into a float matrix, one column per label.
 
     Each row must have one cell per column, and each cell must parse with
     ``float`` as a finite real. The first failure raises, naming its 1-based
-    row and the ``repr`` of its column label: a header name or an index.
+    row, the ``repr`` of its column label (a header name or an index) and
+    the cell, less the padding ``float`` ignores.
     """
     values = np.empty((len(rows), len(columns)))
     for i, row in enumerate(rows, start=1):
@@ -162,31 +169,28 @@ def _parse_cells(path, rows, columns) -> np.ndarray:
             except ValueError:
                 value = float("nan")
             if not np.isfinite(value):
-                raise ParseError(f"{path}: row {i}, column {columns[j]!r}: {cell.strip()!r} "
+                shown = _FLOAT_PADDING.sub("", cell)
+                raise ParseError(f"{path}: row {i}, column {columns[j]!r}: {shown!r} "
                                  "is not a finite real", row=i, column=columns[j])
             values[i - 1, j] = value
     return values
 
 
 # The exact block reader multiplies or divides a decimal's digits m (an integer
-# below 2^64) by 10^|q| in a long double and rounds that to a double. Up to
+# below 2^63) by 10^|q| in a long double and rounds that to a double. Up to
 # |q| = 27, m and 10^|q| (= 2^|q| 5^|q|, 5^27 < 2^63) are exact in the x87
 # 64-bit and the IEEE quad 113-bit significand, and the long double is m 10^q
 # correctly rounded. Past 27 the rounded power adds at most one more rounding,
 # so the long double lies within 2 units of its last place (ulps) of m 10^q.
-# A mantissa past int64 (19 digits or more) is cut to its first 19, which
-# moves the value by less than 10^-18 of itself: _CUT_ULPS more at most.
 # IBM double-double (nmant 105) does not round its division correctly. Both
 # formats keep the low 64 bits of the significand in the first 8 of their
 # 16 little-endian bytes; a double drops the lowest nmant - 52 of them.
 _EXACT_LONGDOUBLE = (np.finfo(np.longdouble).nmant in (63, 112)
                      and np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little")
 _DROPPED_BITS = np.finfo(np.longdouble).nmant - 52
-_CUT_ULPS = -(-2 ** (np.finfo(np.longdouble).nmant + 1) // 10**18)
-# 10^j rounded once (strtold); with m < 10^19 and -307 <= q <= 289, m 10^q is
+# 10^j rounded once (strtold); with m < 2^63 and -307 <= q <= 289, m 10^q is
 # 0 or a normal double's magnitude
 _POW10 = np.array([f"1e{j}" for j in range(308)], dtype=np.longdouble)
-_DECIMAL_POW10 = 10 ** np.arange(18, -1, -1, dtype=np.uint64)
 # A block's transient arrays take about eight times its bytes. On 2*10^5 rows a
 # CLI fit's peak RSS was 0.75 MB above np.loadtxt's at 128 kB; it was 0.4 MB
 # more at 256 kB and 7.7 MB more at 1 MB, and 64 kB took 6 ms longer.
@@ -212,14 +216,15 @@ def _decimal_block(block: bytes, ncols: int) -> np.ndarray:
     line feed, with ``float()``'s bits; a ValueError where a byte or a cell is
     outside the grammar, or a row has another length.
 
-    Every mantissa and exponent is read as an int64 by one ``np.fromstring``;
-    a mantissa past int64 is read again as its first 19 digits. Each value is
-    its digits times 10^q in the long double, rounded to a double. A cell
-    whose q lies outside [-307, 289] (a double below about 1e-291 or above
-    about 1e306 in 17 digits), or whose long double lies within its error of
-    a midpoint between two doubles (where a second rounding could differ from
-    one), is read by ``float()`` on its own text; where that is more than a
-    quarter of the block, numpy's strtod reads the whole block instead.
+    Every mantissa and exponent is read as an int64 by one ``np.fromstring``.
+    Each value is its digits times 10^q in the long double, rounded to a
+    double. A cell whose mantissa is past int64 (19 significant digits or
+    more), whose q lies outside [-307, 289] (a double below about 1e-291 or
+    above about 1e306 in 17 digits), or whose long double lies within its
+    error of a midpoint between two doubles (where a second rounding could
+    differ from one), is read by ``float()`` on its own text; where that is
+    more than a quarter of the block, numpy's strtod reads the whole block
+    instead.
     """
     if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
         raise ValueError("a carriage return that ends no row")
@@ -280,25 +285,15 @@ def _decimal_block(block: bytes, ncols: int) -> np.ndarray:
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    mantissa_end = cell_end  # the mark after each mantissa
     if len(exp_at):
         cells = np.searchsorted(cell_end, exp_at)
         is_exponent = np.zeros(len(ints), dtype=bool)
         is_exponent[cells + np.arange(len(cells)) + 1] = True
         m = ints[~is_exponent]
         q[cells] = np.clip(ints[is_exponent], -1 << 40, 1 << 40) - gap[exp_at] * dot[exp_at - 1]
-        mantissa_end = cell_end.copy()
-        mantissa_end[cells] = exp_at
     m = np.abs(m).view(np.uint64)  # the sign is applied last, so that -0 is -0.0
-    # fromstring saturates a field past int64; such a mantissa has 19 digits
-    # or more, and is read again from the text as its first 19 digits
-    cut = m >= (1 << 63) - 1
-    if cut.any():
-        before = mantissa_end[cut] - 1
-        dots = np.where(dot[before], marks[before], -1)
-        m[cut], more = _leading_digits(raw, starts[cut], marks[before + 1], dots)
-        q[cut] += more
-    inside = (q >= -307) & (q <= 289)
+    # fromstring saturates a field past int64 to one of its bounds
+    inside = (q >= -307) & (q <= 289) & (m < (1 << 63) - 1)
     quotient = m.astype(np.longdouble)
     scale = _POW10[np.abs(np.clip(q, -307, 289))]
     np.divide(quotient, scale, out=quotient, where=q < 0)
@@ -314,7 +309,6 @@ def _decimal_block(block: bytes, ncols: int) -> np.ndarray:
     off -= 1 << (_DROPPED_BITS - 1)
     np.abs(off, out=off)
     ulps = np.where((q < -27) | (q > 27), 2, 0)
-    ulps[cut] += _CUT_ULPS
     redo = np.flatnonzero(~inside | (off <= ulps))
     if len(redo) > ncells // 4:  # such as subnormals: numpy's strtod costs less on them all
         values = np.fromstring(block.replace(b"\n", b","), sep=",")
@@ -322,29 +316,6 @@ def _decimal_block(block: bytes, ncols: int) -> np.ndarray:
         values[redo] = [float(block[s:e]) for s, e in zip(starts[redo].tolist(),
                                                           ends[redo].tolist())]
     return values.reshape(-1, ncols)
-
-
-def _leading_digits(raw, starts, ends, dots):
-    """The first 19 significant digits of each mantissa ``raw[starts:ends]``,
-    which holds at least 19, as an integer, and how many digits follow them;
-    ``dots`` holds the byte of each mantissa's dot, or -1. A mantissa whose
-    digits start past its 24th byte is given 2^40 more, which leaves it to
-    ``float()``."""
-    first = starts.copy()
-    for _ in range(24):  # past a sign, leading zeros and a dot
-        lead = raw[first] - np.uint8(ord("1")) > 8
-        if not lead.any():
-            break
-        first += lead
-    dotted = (dots > first) & (dots <= first + 18)  # a dot among the 19 digits
-    column = np.arange(19)
-    skip = column >= np.where(dotted, dots - first, 19)[:, None]  # digits past the dot
-    digits = raw[first[:, None] + column + skip] - np.uint8(ord("0"))
-    leading = digits.astype(np.uint64) @ _DECIMAL_POW10
-    last = first + 18 + dotted
-    more = ends - last - 1 - (dots > last)
-    more[lead] = 1 << 40
-    return leading, more
 
 
 # The float writer prints each double as float.__repr__ does: the fewest
@@ -359,7 +330,7 @@ def _leading_digits(raw, starts, ends, dots):
 # float64 adds below 2^-40 to each distance. A digit count, a rounding
 # direction or a bound that such an error could flip is left to float.__repr__.
 _REPR_ROUNDING = 2.0 ** -(np.finfo(np.longdouble).nmant + 1)
-_TEN = _DECIMAL_POW10[::-1]  # 10^j at j
+_TEN = 10 ** np.arange(19, dtype=np.uint64)  # 10^j at j
 # a biased exponent of 0 (zeros, subnormals) or 0x7FF (infinities, NaN), less
 # one in uint64, is at least this
 _SPECIAL_EXPONENT = np.uint64(0x7FE)
@@ -701,9 +672,11 @@ def read_sigma0(path, size: int) -> np.ndarray:
             f"{path}: covariance shape must be {size}x{size} to match p + r"
         )
     matrix = _parse_cells(path, rows, range(1, size + 1))
-    if float(np.max(np.abs(matrix - matrix.T))) > 1e-8 * float(np.max(np.abs(matrix))):
+    with np.errstate(over="ignore"):  # a difference past the double range is asymmetric
+        asymmetry = float(np.max(np.abs(matrix - matrix.T)))
+    if asymmetry > 1e-8 * float(np.max(np.abs(matrix))):
         raise ValidationError(f"{path}: covariance shape is asymmetric beyond 1e-8 relative")
-    return (matrix + matrix.T) / 2.0
+    return _symmetrized(matrix)
 
 
 # ---------------------------------------------------------------------------

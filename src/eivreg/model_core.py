@@ -69,7 +69,9 @@ def _covariance_shape(value) -> np.ndarray:
     s = _as_matrix(value, "sigma0")
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sigma0 must be square, got shape {s.shape}")
-    if float(np.max(np.abs(s - s.T))) > 1e-12 * float(np.max(np.abs(s))):
+    with np.errstate(over="ignore"):  # a difference past the double range is asymmetric
+        asymmetry = float(np.max(np.abs(s - s.T)))
+    if asymmetry > 1e-12 * float(np.max(np.abs(s))):
         raise ValidationError("sigma0 is not symmetric to 1e-12 relative")
     _root(s)
     return s
@@ -80,10 +82,21 @@ def _root(sigma0: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(sigma0)
     except np.linalg.LinAlgError:
-        smallest = np.linalg.eigvalsh((sigma0 + sigma0.T) / 2.0)[0]
+        smallest = np.linalg.eigvalsh(_symmetrized(sigma0))[0]
         raise NotPositiveDefiniteError(
             f"sigma0 is not positive definite (min eigenvalue {smallest:.3e})"
         ) from None
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a') / 2 (of each matrix of a stack), bit for bit where a + a' is
+    finite, and a / 2 + a' / 2, rounded once, where that sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = (a + a.mT) / 2.0
+    overflow = np.isinf(mean)
+    if overflow.any():
+        mean[overflow] = (a / 2.0 + a.mT / 2.0)[overflow]
+    return mean
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -147,8 +160,10 @@ class ObservedData:
 
     @cached_property
     def row_means(self) -> np.ndarray:
-        """The read-only row means of ``x`` (of each matrix of a stack), taken on first use."""
-        means = self.x.mean(axis=-1)
+        """The read-only row means of ``x`` (of each matrix of a stack), taken on
+        first use; a mean whose sum overflows is infinite, without a warning."""
+        with np.errstate(over="ignore"):
+            means = self.x.mean(axis=-1)
         means.setflags(write=False)
         return means
 
@@ -208,10 +223,16 @@ def scatter_matrix(data: ObservedData, kind: ModelKind) -> np.ndarray:
 
     W is read-only and computed once per dataset and model kind: the first
     call makes the pass over the columns and stores W on ``data``, beside
-    ``row_means``, and later calls return that same array."""
+    ``row_means``, and later calls return that same array. Finite data too
+    large for W in double precision (entries near 1e154 and above) raises
+    ``ValidationError``."""
     memo = vars(data).setdefault("_scatter", {})
     if kind not in memo:
-        w = sum(_blockwise(data, kind, lambda _, block: _gram(block)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = sum(_blockwise(data, kind, lambda _, block: _gram(block)))
+        if not np.isfinite(w).all():
+            raise ValidationError("the data's magnitude overflows the scatter matrix in "
+                                  "double precision; rescale the data")
         w.setflags(write=False)
         memo.setdefault(kind, w)  # concurrent first calls all return the first W stored
     return memo[kind]
@@ -231,19 +252,22 @@ def _blockwise(data: ObservedData, kind: ModelKind, work) -> list:
     ``work`` may write only to its own columns. The buffers are allocated on
     the calling thread: one allocated on a new thread comes from a new malloc
     arena, and raises the process's peak memory by its size. Each block gets
-    the same arithmetic whatever the worker count. An exception in any run is
-    raised here once every run has stopped."""
+    the same arithmetic whatever the worker count. Overflow is not warned of
+    (numpy's error state is per thread, so each run sets its own); a caller
+    checks what it returns. An exception in any run is raised here once
+    every run has stopped."""
     blocks = _column_blocks(data.n)
     means = data.row_means[..., None] if kind is ModelKind.INTERCEPT else 0.0
     results, errors = [None] * len(blocks), []
 
     def run(indices: range, buffer: np.ndarray) -> None:
         try:
-            for i in indices:
-                cols = blocks[i]
-                block = buffer[..., : cols.stop - cols.start]
-                np.subtract(data.x[..., cols], means, out=block)
-                results[i] = work(cols, block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in indices:
+                    cols = blocks[i]
+                    block = buffer[..., : cols.stop - cols.start]
+                    np.subtract(data.x[..., cols], means, out=block)
+                    results[i] = work(cols, block)
         except BaseException as exc:  # raised on the calling thread once all runs stop
             errors.append(exc)
 
@@ -301,8 +325,9 @@ def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
     subspace. A covariance shape ``sigma0`` = L L', L lower triangular,
     whitens ``w`` as L^{-1} W L^{-T} by ``_forward`` (see ``EigenStructure``);
     one whose shape is not that of ``w`` (of each matrix of a stack) or with
-    a non-finite entry raises ``ValidationError``, one with no Cholesky
-    factor ``NotPositiveDefiniteError``.
+    a non-finite entry raises ``ValidationError``, as does one so small that
+    the whitened ``w`` overflows, and one with no Cholesky factor
+    ``NotPositiveDefiniteError``.
     Warns with ``DegenerateSubspaceWarning`` when the eigengap at the
     signal/noise cut vanishes relative to the leading eigenvalue;
     ``estimate_b`` decides whether the slope is computable. A stack of
@@ -325,8 +350,12 @@ def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
         if not np.all(np.isfinite(sigma0)):
             raise ValidationError("sigma0 contains non-finite entries")
         root = _root(sigma0)
-        w = _forward(root, _forward(root, w.copy()).mT.copy())
-    eigenvalues, g = np.linalg.eigh((w + w.mT) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _forward(root, _forward(root, w.copy()).mT.copy())
+        if not np.isfinite(w).all():
+            raise ValidationError("the scatter matrix whitened by sigma0 overflows in double "
+                                  "precision; rescale sigma0")
+    eigenvalues, g = np.linalg.eigh(_symmetrized(w))
     # stable sort keeps the solver's tie order for repeated eigenvalues
     order = np.argsort(-eigenvalues, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
@@ -350,7 +379,7 @@ def signal_eigenstructure(w, p: int, sigma0=None) -> EigenStructure:
             f"eigenvalue {lead:.3e})", DegenerateSubspaceWarning, stacklevel=2,
         )
     sigma_min = np.linalg.svd(g11, compute_uv=False)[..., -1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         g11_condition = root_norm / sigma_min
     return EigenStructure(
         eigenvalues=eigenvalues,

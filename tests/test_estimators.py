@@ -631,6 +631,34 @@ def test_fit_sigma0_slope_and_condition_ignore_the_scale_of_sigma0(factor):
     assert_close(scaled.eigenstructure.g11_condition, condition, condition)
 
 
+@pytest.mark.parametrize("top", [1e308, 1.7e308])
+def test_fit_sigma0_whose_spread_overflows_scales_the_objective(top):
+    # C sigma0 C' is past the double range; the fit is that under sigma0 / top,
+    # with the objectives over top
+    kind = INTERCEPT
+    _, data, spec = dense_sigma0_instance(kind, 74)
+    base = ev.fit(data, spec)
+    shape = spec.sigma0 * (top / np.max(np.abs(spec.sigma0)))
+    c = np.hstack([-base.b_hat, np.eye(data.r)])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(c @ shape @ c.T).all()
+    result = ev.fit(data, ev.ModelSpec(kind=kind, sigma0=shape))
+    assert_close(result.b_hat, base.b_hat, float(np.max(np.abs(base.b_hat))))
+    expected = base.olse_objective * np.max(np.abs(spec.sigma0)) / top
+    assert result.olse_objective == result.glse_objective == pytest.approx(expected, rel=1e-10)
+    assert result.residual_scale == pytest.approx(base.residual_scale * expected
+                                                  / base.olse_objective, rel=1e-10)
+
+
+@pytest.mark.parametrize("top", [1e-307, 1e-320])
+def test_fit_sigma0_that_overflows_the_fit_is_a_validation_error(top):
+    # the whitened scatter matrix or the objective is past the double range
+    _, data, spec = dense_sigma0_instance(INTERCEPT, 74)
+    shape = spec.sigma0 * (top / np.max(np.abs(spec.sigma0)))
+    with pytest.raises(ev.ValidationError, match="overflows in double precision"):
+        ev.fit(data, ev.ModelSpec(kind=INTERCEPT, sigma0=shape))
+
+
 LINE_SHAPE = np.array([[1.25, 1.0], [1.0, 1.25]])
 
 

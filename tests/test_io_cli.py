@@ -5,6 +5,7 @@ import fractions
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -466,12 +467,150 @@ def test_read_dataset_matches_the_reference_reader(tmp_path, capsys, bulk_reader
         assert code == 1
 
 
+def reference_sigma0(path, size):
+    """``read_sigma0(path, size)`` by ``csv``, ``float()`` and rationals alone:
+    the symmetrized matrix, each entry (a + a') / 2 rounded once, or the type
+    of the error it raises."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error):
+        return ev.ValidationError
+    if len(rows) != size or any(len(row) != size for row in rows):
+        return ev.DimensionMismatchError
+    matrix = []
+    for row in rows:
+        try:
+            matrix.append([float(cell) for cell in row])
+        except ValueError:
+            return ev.ParseError
+        if not all(map(np.isfinite, matrix[-1])):
+            return ev.ParseError
+    pairs = [(a, b) for row, column in zip(matrix, zip(*matrix)) for a, b in zip(row, column)]
+    if max(abs(a - b) for a, b in pairs) > 1e-8 * max(abs(a) for a, _ in pairs):
+        return ev.ValidationError
+    means = [float((fractions.Fraction(a) + fractions.Fraction(b)) / 2) for a, b in pairs]
+    # a zero has the sign of a + b: -0.0 for -0.0 and -0.0
+    return np.array([mean if mean else math.copysign(0.0, a + b)
+                     for mean, (a, b) in zip(means, pairs)]).reshape(size, size)
+
+
+SIGMA0_SCALES = st.one_of(
+    st.sampled_from([1.0, 4e307, 1e308, 1.7e308, 1e-300, 1e-310, 5e-324]),
+    st.floats(1e-320, 1.7e308),
+)
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def sigma0_cells(draw, value):
+    """``value`` as a CSV cell that ``float()`` reads back, in one of the
+    spellings it accepts, now and then padded or quoted."""
+    text = draw(st.sampled_from([repr, "%.17g".__mod__, "%.17E".__mod__, "%.20g".__mod__]))(value)
+    form = draw(st.sampled_from(["plain", "underscore", "arabic_indic"]))
+    if form == "underscore" and text[:2].isdigit():
+        text = text[0] + "_" + text[1:]
+    elif form == "arabic_indic":
+        text = text.translate(ARABIC_INDIC)
+    pad = draw(st.sampled_from(["", " ", "\t", "\xa0", "\u3000"]))
+    text = pad + text + draw(st.sampled_from(["", " ", "\xa0"]))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+SIGMA0_HOSTILE_CELLS = st.sampled_from([
+    "", "nan", "NaN", "-inf", "inf", "Infinity", "1e400", "-1e309", "1e-400", "1.5\x1c",
+    "\x1f3", "2\x1d", "\x1e", "x", "0x10", '"1,5"', "1 2", "#1",
+])
+
+
+@st.composite
+def sigma0_files(draw):
+    """CSV bytes for a 2x2 or 3x3 covariance shape, and its size: a symmetric,
+    diagonally dominant matrix at a scale up to 1.7e308, now and then made
+    asymmetric, with a hostile cell, a blank or ragged row, under varied line
+    ends and byte-order mark, and now and then with a byte that is not UTF-8."""
+    size = draw(st.sampled_from([2, 3]))
+    scale = draw(SIGMA0_SCALES)
+    matrix = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        matrix[i][i] = scale * draw(st.floats(0.5, 1.0))
+        for j in range(i):
+            matrix[i][j] = matrix[j][i] = scale * draw(st.floats(-0.4, 0.4)) / size
+    if draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.permutations(range(size)))[:2]
+        matrix[i][j] *= 1 + draw(st.sampled_from([1e-12, 1e-7, -1e-5, -2.0]))
+    rows = [[draw(sigma0_cells(value)) for value in row] for row in matrix]
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = draw(
+            SIGMA0_HOSTILE_CELLS)
+    lines = [",".join(row) for row in rows]
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, size - 1))
+        lines[at] = draw(st.sampled_from([lines[at] + ",1", lines[at].rpartition(",")[0]]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", ",", ",,"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x00"])) + data[at:]
+    return data, size
+
+
+# a 6-row dataset of p + r = 2 and 3 columns for the fits under each shape
+SIGMA0_DATASETS = {
+    2: "x1,x2\n0.1,1.2\n1.0,2.9\n2.2,5.1\n2.9,7.2\n4.1,8.8\n5.0,11.1\n",
+    3: "x1,x2_1,x2_2\n0.1,1.2,-0.3\n1.0,2.9,-0.9\n2.2,5.1,-2.4\n2.9,7.2,-2.8\n"
+       "4.1,8.8,-4.2\n5.0,11.1,-4.9\n",
+}
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sigma0_files())
+@example((b"1e308,0\n0,1e308\n", 2))
+@example((b"4e307,0\n0,4e307\n", 2))
+@example((b"1e308,1e308\n-1e308,1e308\n", 2))
+@example((b"1.7e308,1e308\n1e308,1.7e308\n", 2))
+@example((b"1e308,1.7e308\n1.7e308,1e308\n", 2))
+@example((b"1e-320,0\n0,1e-320\n", 2))
+@example((b"1,0\n0,1.5\x1c\n", 2))
+def test_read_sigma0_matches_the_reference_reader(tmp_path, capsys, data):
+    data, size = data
+    path = tmp_path / "s0.csv"
+    path.write_bytes(data)
+    expected = reference_sigma0(path, size)
+    if isinstance(expected, np.ndarray):
+        assert io_cli.read_sigma0(str(path), size).tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ev.ValidationError) as excinfo:
+            io_cli.read_sigma0(str(path), size)
+        assert type(excinfo.value) is expected
+    dataset = write(tmp_path, "d.csv", SIGMA0_DATASETS[size])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["fit", "--input", dataset, "--intercept", "--verify",
+                                          "--sigma0", str(path)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 1, 2, 3)
+    if code in (0, 3):  # a report, certified or not
+        assert (out != "", err) == (True, "")
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if not isinstance(expected, np.ndarray):
+        assert code == 1
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "empty dataset file"),
     ("\ufeff", "empty dataset file"),
     ("x1,x2\n", "need at least 2 observation rows, got 0"),
     ("x1,x2\n\n \n", "need at least 2 observation rows, got 0"),
     ("x1,x2\n0,1\n", "need at least 2 observation rows, got 1"),
+    # float() rejects the information separators that str.strip removes
+    ("x1,x2\n0,1\n2,1.5\x1c\n", "row 2, column 'x2': '1.5\\x1c' is not a finite real"),
+    ("x1,x2\n0,1\n2,\xa0\x1f3 \n", "row 2, column 'x2': '\\x1f3' is not a finite real"),
 ])
 def test_read_dataset_edge_messages(tmp_path, text, message):
     path = tmp_path / "edge.csv"
@@ -783,6 +922,16 @@ def test_cli_rejects_an_asymmetric_sigma0_at_every_scale(tmp_path, capsys, k):
     ])
     assert (code, out) == (1, "")
     assert "asymmetric beyond 1e-8 relative" in err
+
+
+def test_cli_data_that_overflows_the_scatter_matrix_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "big.csv", "x1,x2,x3\n1e300,-1e300,5e307\n-1e300,1e300,-5e307\n"
+                                      "1e300,1e300,5e307\n-1e300,-1e300,-5e307\n")
+    code, out, err = run_cli(capsys, ["fit", "--input", path, "--p", "1", "--r", "2",
+                                      "--no-intercept"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the data's magnitude overflows the scatter matrix in double "
+                   "precision; rescale the data\n")
 
 
 def test_cli_usage_error_exits_1_without_report(tmp_path, capsys):

@@ -196,6 +196,30 @@ def test_blocked_scatter_is_the_symmetric_centered_gram(n, kind, seed):
         np.testing.assert_array_equal(w_stacked, w)
 
 
+# finite, but each row's sum of squares is past the double range
+OVERFLOWING = np.array([[1e300, -1e300, 1e300, -1e300],
+                        [-1e300, 1e300, 1e300, -1e300],
+                        [5e307, -5e307, 5e307, -5e307]])
+
+
+@pytest.mark.parametrize("kind", list(ev.ModelKind))
+def test_data_that_overflows_the_scatter_matrix_is_a_validation_error(kind):
+    data = ev.ObservedData(x1=OVERFLOWING[:1], x2=OVERFLOWING[1:])
+    with pytest.raises(ev.ValidationError, match="overflows the scatter matrix in double"):
+        ev.fit(data, ev.ModelSpec(kind=kind))
+
+
+@pytest.mark.parametrize("kind", list(ev.ModelKind))
+def test_an_overflowing_matrix_of_a_stack_fails_the_stacked_scatter(monkeypatch, kind):
+    # the overflow lies in the last block, which a worker thread forms
+    monkeypatch.setattr(model_core, "_WORKERS", 3)
+    monkeypatch.setattr(model_core, "_RUN_BLOCKS", 1)
+    stack = np.random.default_rng(3).normal(size=(2, 3, 3 * BLOCK + 1))
+    stack[1, :, -4:] = OVERFLOWING
+    with pytest.raises(ev.ValidationError, match="overflows the scatter matrix in double"):
+        ev.scatter_matrix(ev.ObservedData._of(stack, 1), kind)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     arrays(np.float64, (5, 9), elements=st.floats(-100, 100)),
